@@ -10,7 +10,8 @@ connected component of the state graph carries a single color.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TypeVar
 
 from .formulas import (
     And,
@@ -33,6 +34,9 @@ from .formulas import (
 from .guards import all_letters, prop_holds, simple_eps_closure, thompson
 from .traces import LassoTrace
 from .truth import ALL_VALUES, BOTTOM, TOP, TruthValue4
+
+
+Colored = TypeVar("Colored")
 
 
 class EmptyListError(ValueError):
@@ -260,8 +264,12 @@ def apa_intersection(automata) -> APA:
     return _combine(automata, pb_and)
 
 
-def normalize_colors(a: APA) -> APA:
-    """Compress colors monotonically while preserving parity."""
+def normalize_colors(a: Colored) -> Colored:
+    """Compress colors monotonically while preserving parity.
+
+    Works on any automaton with a per-state ``color`` tuple: the
+    alternating automata here and the parity automata of ``omega``.
+    """
     used = sorted(set(a.color))
     if not used:
         return a
@@ -276,13 +284,7 @@ def normalize_colors(a: APA) -> APA:
         prev_old = c
     if all(mapping[c] == c for c in used):
         return a
-    return APA(
-        a.props,
-        a.n_states,
-        a.initial,
-        a.delta,
-        tuple(mapping[c] for c in a.color),
-    )
+    return replace(a, color=tuple(mapping[c] for c in a.color))
 
 
 def apa_accepts_lasso(a: APA, trace: LassoTrace) -> bool:

@@ -9,6 +9,7 @@ limit-matching check.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 from .formulas import (
@@ -220,9 +221,9 @@ def dfa_product(d1: GuardDFA, d2: GuardDFA) -> GuardDFA:
     index = {start: 0}
     order = [start]
     transitions: dict[tuple[int, frozenset[str]], int] = {}
-    queue = [start]
+    queue = deque((start,))
     while queue:
-        pair = queue.pop(0)
+        pair = queue.popleft()
         q1, q2 = pair
         for letter in alphabet:
             target = (d1.step(q1, letter), d2.step(q2, letter))
@@ -256,9 +257,9 @@ def determinize(nfa: GuardNFA, props) -> GuardDFA:
     index: dict[frozenset[int], int] = {initial: 0}
     order = [initial]
     transitions: dict[tuple[int, frozenset[str]], int] = {}
-    queue = [initial]
+    queue = deque((initial,))
     while queue:
-        subset = queue.pop(0)
+        subset = queue.popleft()
         for letter in alphabet:
             target = frozenset(
                 t

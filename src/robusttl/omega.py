@@ -1,18 +1,32 @@
 """Nondeterministic Buechi and deterministic parity automata.
 
-Dealternation uses the breakpoint construction, which is sound for weak
-alternating automata (each strongly connected component of the input has
-one color, so every run path stabilizes in a single component and
-acceptance reduces to visiting odd states finitely often on every path).
+Dealternation uses the breakpoint construction (Miyano and Hayashi),
+which is sound for weak alternating automata (each strongly connected
+component of the input has one color, so every run path stabilizes in a
+single component and acceptance reduces to visiting odd states finitely
+often on every path).  Its states are (slice, owing) pairs held as
+bitmasks over automaton states.  Successors are built by a fold over the
+slice that keeps only the subset-minimal pairs, an antichain in the sense
+of De Wulf, Doyen, Henzinger and Raskin: a pair containing another
+accepts a subset of its language, so it adds nothing.
+
 Determinization follows the compact-tree construction that produces
-parity indices directly from tree events.
+parity indices directly from tree events, and ends with a
+color-respecting Moore quotient that merges states no run can tell
+apart by its colors.
 """
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass
 
-from .apa import APA, AlphabetMismatchError, is_weak, pb_models
+from .apa import (
+    APA,
+    AlphabetMismatchError,
+    is_weak,
+    normalize_colors,
+    pb_models,
+)
 from .formulas import Formula, LogicId, require_logic
 from .guards import all_letters
 from .traces import LassoTrace
@@ -71,54 +85,85 @@ def apa_to_nba(a: APA) -> NBA:
 
     States are pairs (slice, owing) where the slice is the set of active
     automaton states and owing tracks states whose run path has stayed
-    odd-colored since the last breakpoint.
+    odd-colored since the last breakpoint; the accepting states are the
+    breakpoints, where nothing is owed.
+
+    Both sets are bitmasks over automaton states, packed into one int
+    with the owing bits above the slice bits, so that the pointwise
+    subset order on pairs is the subset order on ints.  The successors of
+    a pair for a letter are built by a fold over the slice, one state at a
+    time: each partial pair is extended by every minimal model of that
+    state's transition (memoized per state and letter for this call), and
+    only the subset-minimal partial pairs are kept.  Union preserves the
+    order, so the fold yields exactly the minimal pairs among all choices
+    of one model per state, and a pair that contains another accepts a
+    subset of its language, so dropping it keeps the language.
     """
     if not is_weak(a):
         msg = "dealternation requires a weak alternating automaton"
         raise NotWeakError(msg)
     letters = all_letters(a.props)
-    bad = frozenset(q for q in range(a.n_states) if a.color[q] % 2 == 1)
-    start = (frozenset((a.initial,)), frozenset())
+    n = a.n_states
+    slice_bits = (1 << n) - 1
+    bad = sum(1 << q for q in range(n) if a.color[q] % 2 == 1)
+    models: dict = {}
+
+    def models_of(q: int, letter) -> tuple[int, ...]:
+        key = (q, letter)
+        if key not in models:
+            models[key] = tuple(
+                sum(1 << s for s in m) for m in pb_models(a.delta[key])
+            )
+        return models[key]
+
+    start = 1 << a.initial
     index = {start: 0}
     order = [start]
     transitions: dict = {}
     work = [start]
     while work:
         node = work.pop()
-        slice_, owing = node
+        slice_, owing = node & slice_bits, node >> n
+        states = [q for q in range(n) if slice_ >> q & 1]
         for letter in letters:
-            succs = set()
-            model_lists = [pb_models(a.delta[(q, letter)]) for q in sorted(slice_)]
-            owing_pos = [
-                i for i, q in enumerate(sorted(slice_)) if q in owing
-            ]
-            for combo in itertools.product(*model_lists):
-                new_slice = frozenset().union(*combo) if combo else frozenset()
-                if owing:
-                    carried = frozenset().union(
-                        *(combo[i] for i in owing_pos)
-                    ) if owing_pos else frozenset()
-                    new_owing = carried & bad
-                else:
-                    new_owing = new_slice & bad
-                succs.add((new_slice, new_owing))
-            out = []
-            for s in sorted(succs, key=_pair_key):
+            partial = [0]
+            for q in states:
+                options = models_of(q, letter)
+                if owing >> q & 1:
+                    options = tuple(m | (m & bad) << n for m in options)
+                partial = _extend(partial, options)
+                if not partial:
+                    break
+            if not owing:
+                partial = [s | (s & bad) << n for s in partial]
+            for s in sorted(partial):
                 if s not in index:
                     index[s] = len(order)
                     order.append(s)
                     work.append(s)
-                out.append(index[s])
-            transitions[(index[node], letter)] = tuple(out)
-    accepting = frozenset(
-        index[s] for s in order if not s[1]
-    )
+            transitions[(index[node], letter)] = tuple(
+                sorted(index[s] for s in partial)
+            )
+    accepting = frozenset(i for i, s in enumerate(order) if not s >> n)
     return NBA(a.props, len(order), 0, transitions, accepting)
 
 
-def _pair_key(pair):
-    s, o = pair
-    return (sorted(s), sorted(o))
+def _extend(partial: list, options: tuple) -> list:
+    """The subset-minimal unions of one partial pair and one option."""
+    if len(options) == 1:
+        (m,) = options
+        if not m:
+            return partial
+        if len(partial) == 1:
+            return [partial[0] | m]
+    grown = {p | m for p in partial for m in options}
+    if len(grown) == 1:
+        return list(grown)
+    kept: list = []
+    for x in sorted(grown, key=int.bit_count):
+        if all(y & x != y for y in kept):
+            kept.append(x)
+    return kept
 
 
 def nba_accepts_lasso(nba: NBA, trace: LassoTrace) -> bool:
@@ -208,10 +253,10 @@ def nba_emptiness(nba: NBA) -> LassoTrace | None:
     """
     letters = all_letters(nba.props)
     parent: dict = {nba.initial: None}
-    work = [nba.initial]
+    work = deque((nba.initial,))
     reach_order = [nba.initial]
     while work:
-        q = work.pop(0)
+        q = work.popleft()
         for letter in letters:
             for q2 in nba.transitions[(q, letter)]:
                 if q2 not in parent:
@@ -242,9 +287,9 @@ def nba_emptiness(nba: NBA) -> LassoTrace | None:
 def _cycle_word(nba: NBA, letters, target: int):
     """Shortest nonempty letter sequence from target back to target."""
     parent: dict = {target: None}
-    queue = [target]
+    queue = deque((target,))
     while queue:
-        q = queue.pop(0)
+        q = queue.popleft()
         for letter in letters:
             for q2 in nba.transitions[(q, letter)]:
                 if q2 == target:
@@ -399,7 +444,11 @@ def nba_to_dpa(nba: NBA) -> DPA:
 
     Tree events give min-parity priorities on transitions; the result is
     converted to state-based max-parity by pairing each tree with the
-    priority of its incoming transition.
+    priority of its incoming transition.  The automaton is then reduced
+    by ``dpa_quotient``, which is what keeps it small: the pairs of tree
+    and priority often repeat one state's behaviour many times over, and
+    the smaller NBAs of the pruned dealternation do not by themselves
+    give smaller DPAs.  Colors are compressed last.
     """
     letters = all_letters(nba.props)
     n_bound = max(nba.n_states, 1)
@@ -461,36 +510,67 @@ def nba_to_dpa(nba: NBA) -> DPA:
             nxt_tree, nxt_priority = edges[(tree_id, letter)]
             delta[(src, letter)] = get_state(nxt_tree, nxt_priority)
     color = tuple(k_even - priority for _, priority in order)
-    return normalize_dpa_colors(DPA(nba.props, len(order), initial, delta, color))
+    return normalize_colors(
+        dpa_quotient(DPA(nba.props, len(order), initial, delta, color))
+    )
+
+
+def dpa_quotient(d: DPA) -> DPA:
+    """Merge states that no run can tell apart by its colors.
+
+    Moore partition refinement: start from the partition by color and
+    split blocks by the blocks of their successors under each letter
+    until nothing splits.  Merged states see the same colors on every
+    word, so the quotient accepts the same language; it stays complete
+    and deterministic.  Blocks are numbered in breadth-first order from
+    the initial state, letters in alphabet order; when nothing merges, the
+    automaton is returned as it is.
+    """
+    by_color = {c: i for i, c in enumerate(sorted(set(d.color)))}
+    if len(by_color) == d.n_states:
+        return d
+    letters = all_letters(d.props)
+    rows = [
+        tuple([d.delta[(q, letter)] for letter in letters])
+        for q in range(d.n_states)
+    ]
+    block = [by_color[c] for c in d.color]
+    n_blocks = len(by_color)
+    while True:
+        sigs: dict = {}
+        refined = [
+            sigs.setdefault((block[q], *[block[t] for t in row]), len(sigs))
+            for q, row in enumerate(rows)
+        ]
+        if len(sigs) == d.n_states:
+            return d
+        if len(sigs) == n_blocks:
+            break
+        block, n_blocks = refined, len(sigs)
+    member: dict = {}
+    for q in range(d.n_states):
+        member.setdefault(block[q], q)
+    number = {block[d.initial]: 0}
+    queue = deque((block[d.initial],))
+    delta: dict = {}
+    while queue:
+        b = queue.popleft()
+        for letter, t in zip(letters, rows[member[b]]):
+            target = block[t]
+            if target not in number:
+                number[target] = len(number)
+                queue.append(target)
+            delta[(number[b], letter)] = number[target]
+    color = [0] * len(number)
+    for b, i in number.items():
+        color[i] = d.color[member[b]]
+    return DPA(d.props, len(number), 0, delta, tuple(color))
 
 
 def dpa_complement(d: DPA) -> DPA:
     """Shift every color by one; same structure, complementary language."""
-    return normalize_dpa_colors(
+    return normalize_colors(
         DPA(d.props, d.n_states, d.initial, d.delta, tuple(c + 1 for c in d.color))
-    )
-
-
-def normalize_dpa_colors(d: DPA) -> DPA:
-    used = sorted(set(d.color))
-    if not used:
-        return d
-    mapping = {}
-    prev_old = used[0]
-    prev_new = used[0] & 1
-    mapping[prev_old] = prev_new
-    for c in used[1:]:
-        prev_new += 1 if (c - prev_old) % 2 == 1 else 2
-        mapping[c] = prev_new
-        prev_old = c
-    if all(mapping[c] == c for c in used):
-        return d
-    return DPA(
-        d.props,
-        d.n_states,
-        d.initial,
-        d.delta,
-        tuple(mapping[c] for c in d.color),
     )
 
 

@@ -483,7 +483,7 @@ def eval_rldl(trace: LassoTrace, phi: Formula) -> TruthValue4:
 def eval_rprompt_ltl(trace: LassoTrace, k: int, phi: Formula) -> TruthValue4:
     require_logic(phi, LogicId.RPROMPT_LTL)
     _check_bound(k)
-    return _RobustEvaluator(trace, k).value(0, phi)
+    return _RobustEvaluator(trace, _ltl_bound(trace, k)).value(0, phi)
 
 
 def eval_rprompt_ldl(trace: LassoTrace, k: int, phi: Formula) -> TruthValue4:
@@ -505,7 +505,7 @@ def eval_ldl(trace: LassoTrace, phi: Formula) -> int:
 def eval_prompt_ltl(trace: LassoTrace, k: int, phi: Formula) -> int:
     require_logic(phi, LogicId.PROMPT_LTL)
     _check_bound(k)
-    return _ClassicalEvaluator(trace, k).value(0, phi)
+    return _ClassicalEvaluator(trace, _ltl_bound(trace, k)).value(0, phi)
 
 
 def eval_prompt_ldl(trace: LassoTrace, k: int, phi: Formula) -> int:
@@ -541,6 +541,18 @@ def _need(k: int | None) -> int:
         msg = "prompt logics need a bound k"
         raise MissingBoundError(msg)
     return k
+
+
+def _ltl_bound(trace: LassoTrace, k: int) -> int:
+    """The bound to evaluate prompt LTL at: min(k, positions).
+
+    From any position, every canonical position still ahead is reached
+    within |prefix| + |loop| steps, so a prompt eventuality met at all
+    within k steps is met within that many, and larger bounds give the
+    same value.  Prompt LDL gets no such clamp: a regular guard can first
+    match later than that.
+    """
+    return min(k, trace.positions)
 
 
 def _check_bound(k: int) -> None:

@@ -4,6 +4,10 @@ brute_force_winner enumerates player 0's positional strategies and, for
 each, asks whether the adversary can reach a cycle whose maximal color is
 odd in the strategy-restricted graph.  Positional determinacy of parity
 games makes this exact.
+
+unpruned_apa_to_nba is the plain breakpoint construction: every choice of
+one minimal model per active state gives a successor, with no pruning of
+dominated successors.
 """
 
 from __future__ import annotations
@@ -101,3 +105,44 @@ def brute_force_region(game) -> frozenset:
         if len(win0) == len(game.vertices):
             break
     return frozenset(win0)
+
+
+def unpruned_apa_to_nba(a):
+    """Breakpoint NBA over all (slice, owing) successors of every letter."""
+    from robusttl.apa import pb_models
+    from robusttl.guards import all_letters
+    from robusttl.omega import NBA
+
+    letters = all_letters(a.props)
+    bad = frozenset(q for q in range(a.n_states) if a.color[q] % 2 == 1)
+    start = (frozenset((a.initial,)), frozenset())
+    index = {start: 0}
+    order = [start]
+    transitions: dict = {}
+    work = [start]
+    while work:
+        node = work.pop()
+        slice_, owing = node
+        active = sorted(slice_)
+        owing_pos = [i for i, q in enumerate(active) if q in owing]
+        for letter in letters:
+            succs = set()
+            model_lists = [pb_models(a.delta[(q, letter)]) for q in active]
+            for combo in itertools.product(*model_lists):
+                new_slice = frozenset().union(*combo)
+                if owing:
+                    carried = frozenset().union(*(combo[i] for i in owing_pos))
+                    new_owing = carried & bad
+                else:
+                    new_owing = new_slice & bad
+                succs.add((new_slice, new_owing))
+            out = []
+            for s in sorted(succs, key=lambda p: (sorted(p[0]), sorted(p[1]))):
+                if s not in index:
+                    index[s] = len(order)
+                    order.append(s)
+                    work.append(s)
+                out.append(index[s])
+            transitions[(index[node], letter)] = tuple(out)
+    accepting = frozenset(index[s] for s in order if not s[1])
+    return NBA(a.props, len(order), 0, transitions, accepting)

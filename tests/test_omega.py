@@ -1,16 +1,23 @@
-import pytest
+import os
+import subprocess
+import sys
 
-from robusttl.apa import APA, PBAnd, PBVar, from_rldl, pb_and, pb_or
+import pytest
+from _oracles import unpruned_apa_to_nba
+
+from robusttl.apa import APA, PBAnd, PBVar, apa_complement, from_rldl, pb_and, pb_or
 from robusttl.formulas import LogicId
 from robusttl.gen import make_rng, random_formula, random_lasso
 from robusttl.guards import all_letters
 from robusttl.hoa import dpa_to_hoa, nba_to_hoa
 from robusttl.omega import (
+    DPA,
     NBA,
     NotWeakError,
     apa_to_nba,
     dpa_accepts_lasso,
     dpa_complement,
+    dpa_quotient,
     ldl_to_dpa,
     nba_accepts_lasso,
     nba_emptiness,
@@ -22,7 +29,7 @@ from robusttl.omega import (
 from robusttl.parser import parse
 from robusttl.semantics import eval_ldl, eval_rldl
 from robusttl.traces import LassoTrace, parse_trace
-from robusttl.truth import POSITIVE_VALUES, from_string
+from robusttl.truth import ALL_VALUES, POSITIVE_VALUES, from_string
 
 PQ = ("p", "q")
 
@@ -189,3 +196,85 @@ def test_hoa_parity_acceptance_formula():
     for c in range(n_colors):
         kind = "Inf" if c % 2 == 0 else "Fin"
         assert f"{kind}({c})" in acc_line
+
+
+def test_pruned_dealternation_matches_unpruned_reference():
+    # Criterion-3-style formulas and their complements (the model-checking
+    # path), every threshold: the pruned NBA accepts the same lassos as
+    # the plain breakpoint construction and is never larger.
+    rng = make_rng(303)
+    for _ in range(40):
+        phi = random_formula(rng, LogicId.RLDL, rng.randint(1, 8), PQ)
+        lassos = [random_lasso(rng, PQ) for _ in range(4)]
+        for beta in ALL_VALUES:
+            base = from_rldl(phi, beta, PQ)
+            for apa in (base, apa_complement(base)):
+                nba = apa_to_nba(apa)
+                reference = unpruned_apa_to_nba(apa)
+                assert nba.n_states <= reference.n_states, (phi, beta)
+                for w in lassos:
+                    assert nba_accepts_lasso(nba, w) == nba_accepts_lasso(reference, w), (
+                        phi,
+                        beta,
+                        w,
+                    )
+
+
+def test_complement_nba_of_recurrent_implication_stays_small():
+    apa = from_rldl(parse("[tt*] (p -> [tt*] p)"), from_string("0011"), ("p",))
+    assert apa_to_nba(apa_complement(apa)).n_states <= 783
+
+
+def test_dpa_quotient_merges_duplicate_states():
+    # Infinitely many p, written with two copies of each state; the
+    # initial state behaves like a "no p" state.
+    p, empty = letter("p"), letter()
+    step = {0: (1, 2), 1: (3, 4), 2: (1, 4), 3: (1, 2), 4: (3, 2)}
+    delta = {}
+    for q, (on_p, off_p) in step.items():
+        delta[(q, p)] = on_p
+        delta[(q, empty)] = off_p
+    dpa = DPA(("p",), 5, 0, delta, (1, 2, 1, 2, 1))
+    small = dpa_quotient(dpa)
+    assert small.n_states == 2
+    assert small.initial == 0
+    for q in small.states():
+        for a in all_letters(("p",)):
+            assert small.delta[(q, a)] in small.states()
+    assert len(small.delta) == small.n_states * 2
+    rng = make_rng(11)
+    for _ in range(40):
+        w = random_lasso(rng, ("p",))
+        assert dpa_accepts_lasso(small, w) == dpa_accepts_lasso(dpa, w)
+
+
+def test_compile_hoa_independent_of_hash_seed():
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        texts = []
+        for target, formula in (
+            ("dpa", "[tt*] (p -> <tt*> q)"),
+            ("nba", "[tt*] (p -> [tt*] q) & <tt*> (p & q)"),
+        ):
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "robusttl.cli",
+                    "compile",
+                    "--formula",
+                    formula,
+                    "--beta",
+                    "0111",
+                    "--target",
+                    target,
+                ],
+                capture_output=True,
+                text=True,
+                check=True,
+                env=env,
+            )
+            texts.append(proc.stdout)
+        outputs.append(texts)
+    assert outputs[0] == outputs[1]

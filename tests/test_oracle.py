@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +182,30 @@ def test_prompt_value_monotone_in_k(w, seed, k):
     rng = make_rng(seed)
     phi = random_formula(rng, LogicId.RPROMPT_LTL, rng.randint(1, 7), ("p", "q"))
     assert eval_rprompt_ltl(w, k, phi) <= eval_rprompt_ltl(w, k + 1, phi)
+
+
+def test_prompt_ltl_bound_clamp_matches_unclamped_value():
+    # Prompt LTL is evaluated at min(k, positions).  The unclamped
+    # evaluators at positions + 9 must agree with that on seeded lassos.
+    from robusttl.semantics import _ClassicalEvaluator, _RobustEvaluator
+
+    rng = make_rng(77)
+    for _ in range(300):
+        w = random_lasso(rng, ("p", "q"))
+        k = w.positions
+        robust = random_formula(rng, LogicId.RPROMPT_LTL, rng.randint(1, 8), ("p", "q"))
+        assert eval_rprompt_ltl(w, k, robust) == _RobustEvaluator(w, k + 9).value(0, robust)
+        assert eval_rprompt_ltl(w, k + 9, robust) == eval_rprompt_ltl(w, k, robust)
+        boolean = random_formula(rng, LogicId.PROMPT_LTL, rng.randint(1, 8), ("p", "q"))
+        assert eval_prompt_ltl(w, k, boolean) == _ClassicalEvaluator(w, k + 9).value(0, boolean)
+
+
+def test_prompt_ltl_huge_bound_returns_at_once():
+    w = parse_trace("{} {q} ; {p} {} {q} {}")
+    start = time.monotonic()
+    assert str(eval_rprompt_ltl(w, 10**6, parse("G Fp p"))) == "1111"
+    assert eval_prompt_ltl(w, 10**6, parse("G Fp q", LogicId.PROMPT_LTL)) == 1
+    assert time.monotonic() - start < 1.0
 
 
 @settings(max_examples=80, deadline=None)
