@@ -501,10 +501,14 @@ class _Builder:
 
     # -- guard blocks ----------------------------------------------------
 
-    def _closure_entries(self, nfa, q, letter):
-        """(jump?, target, test set) triples for state q reading letter."""
+    def _closure_entries(self, nfa, closure, letter):
+        """(jump?, target, test set) triples for a state reading letter.
+
+        ``closure`` is the state's epsilon closure, which does not depend
+        on the letter.
+        """
         out = []
-        for q2, tests in simple_eps_closure(nfa, q):
+        for q2, tests in closure:
             if q2 in nfa.finals:
                 out.append((True, None, tests))
             for formula, q3 in nfa.letters[q2]:
@@ -525,9 +529,10 @@ class _Builder:
         states = [self.new_state(1) for _ in range(nfa.n_states)]
         self.cache[key] = states[nfa.initial]
         for q in range(nfa.n_states):
+            closure = simple_eps_closure(nfa, q)
             for letter in self.letters:
                 disjuncts = []
-                for jump, q3, tests in self._closure_entries(nfa, q, letter):
+                for jump, q3, tests in self._closure_entries(nfa, closure, letter):
                     parts = self._test_parts(tests, deg, letter, dual=False)
                     if jump:
                         parts.append(self.init_delta(arg, deg, letter))
@@ -546,9 +551,10 @@ class _Builder:
         states = [self.new_state(0) for _ in range(nfa.n_states)]
         self.cache[key] = states[nfa.initial]
         for q in range(nfa.n_states):
+            closure = simple_eps_closure(nfa, q)
             for letter in self.letters:
                 conjuncts = []
-                for jump, q3, tests in self._closure_entries(nfa, q, letter):
+                for jump, q3, tests in self._closure_entries(nfa, closure, letter):
                     parts = self._test_parts(tests, deg, letter, dual=True)
                     if jump:
                         parts.append(self.init_delta(arg, deg, letter))
@@ -576,10 +582,11 @@ class _Builder:
         self.cache[key] = main[nfa.initial]
         jump_delta = self.dual_init_delta if refuted else self.init_delta
         for q in range(nfa.n_states):
+            closure = simple_eps_closure(nfa, q)
             for letter in self.letters:
                 main_parts = []
                 check_parts = []
-                for jump, q3, tests in self._closure_entries(nfa, q, letter):
+                for jump, q3, tests in self._closure_entries(nfa, closure, letter):
                     tests_pos = self._test_parts(tests, deg, letter, dual=False)
                     if jump:
                         check_parts.append(

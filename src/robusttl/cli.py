@@ -2,7 +2,8 @@
 
 Subcommands: eval, translate, compile, mc, synth, guard-check, fuzz.
 Exit codes: 0 success / property holds / player 0 wins, 1 property
-violated / player 1 wins / divergence found, 2 usage or input error.
+violated / player 1 wins / divergence found, 2 usage or input error
+(a formula nested too deeply for the recursive passes counts as one).
 All output is deterministic given identical inputs and seeds.
 """
 
@@ -316,6 +317,11 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(str(exc))
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        return _fail(
+            f"formula nested too deeply (Python recursion limit {limit})"
+        )
 
 
 if __name__ == "__main__":

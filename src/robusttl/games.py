@@ -143,9 +143,11 @@ def reduce_game(graph: LabeledGameGraph, dpa) -> tuple[ParityGame, dict]:
     """Product of an arena with a deterministic parity automaton.
 
     Vertices are (arena vertex, automaton state); the automaton advances
-    on the label of the vertex being left; colors come from the automaton.
+    on the label of the vertex being left, projected onto its own
+    propositions; colors come from the automaton.
     """
     graph.validate()
+    keep = frozenset(dpa.props)
     vertices = []
     owner = {}
     edges = {}
@@ -158,7 +160,7 @@ def reduce_game(graph: LabeledGameGraph, dpa) -> tuple[ParityGame, dict]:
     while work:
         node = work.pop()
         v, q = node
-        q2 = dpa.step(q, graph.labels[v])
+        q2 = dpa.step(q, graph.labels[v] & keep)
         succs = tuple((v2, q2) for v2 in graph.edges[v])
         edges[node] = succs
         owner[node] = graph.owner[v]
@@ -201,13 +203,14 @@ class GameResult:
 
 def _strategy_from_product(graph: LabeledGameGraph, dpa, win0, strat0) -> MealyStrategy:
     """Mealy machine with the automaton state as memory."""
+    keep = frozenset(dpa.props)
     update = {}
     choice = {}
     for v in graph.vertices:
         for q in dpa.states():
             if (v, q) not in win0:
                 continue
-            q2 = dpa.step(q, graph.labels[v])
+            q2 = dpa.step(q, graph.labels[v] & keep)
             update[(q, v)] = q2
             if graph.owner[v] == 0:
                 target = strat0.get((v, q))
@@ -222,12 +225,15 @@ def solve_rldl_game(
     beta: TruthValue4,
     vertex,
 ) -> GameResult:
-    """Decide whether player 0 enforces value at least beta from vertex."""
+    """Decide whether player 0 enforces value at least beta from vertex.
+
+    The automaton is built over the formula's own propositions; arena
+    labels are projected onto them.
+    """
     from .omega import rldl_to_dpa
 
     require_logic(phi, LogicId.RLDL)
-    props = sorted(propositions(phi) | graph.propositions)
-    dpa = rldl_to_dpa(phi, beta, props)
+    dpa = rldl_to_dpa(phi, beta, sorted(propositions(phi)))
     game, _ = reduce_game(graph, dpa)
     win0, win1, strat0, _strat1 = solve_parity(game)
     start = (vertex, dpa.initial)
@@ -240,10 +246,11 @@ def _color_game(graph: LabeledGameGraph, dpa, color_prop: str) -> ParityGame:
     """Arena where player 0 additionally picks the recoloring bit.
 
     Nodes ('pick', v, q) belong to player 0 and choose the color emitted
-    with v's label; nodes ('move', v, q') pick the successor vertex and
-    belong to v's owner.
+    with v's label, projected onto the automaton's other propositions;
+    nodes ('move', v, q') pick the successor vertex and belong to v's
+    owner.
     """
-    nodes = {}
+    keep = frozenset(dpa.props) - {color_prop}
     owner = {}
     edges = {}
     color = {}
@@ -255,11 +262,11 @@ def _color_game(graph: LabeledGameGraph, dpa, color_prop: str) -> ParityGame:
         kind = node[0]
         if kind == "pick":
             _, v, q = node
-            succs = []
-            for bit in (False, True):
-                letter = graph.labels[v] | {color_prop} if bit else graph.labels[v]
-                q2 = dpa.step(q, frozenset(letter))
-                succs.append(("move", v, q2))
+            label = graph.labels[v] & keep
+            succs = [
+                ("move", v, dpa.step(q, label)),
+                ("move", v, dpa.step(q, label | {color_prop})),
+            ]
             owner[node] = 0
             color[node] = dpa.color[q]
         else:
@@ -287,15 +294,17 @@ def solve_prompt_game(
     fresh color changes twice, colors changing infinitely often) is
     compiled to a deterministic parity automaton; player 0 picks the color
     bit each step.  Player 0 wins the original game iff it wins the
-    recolored parity game, with a bound of twice the product size.
+    recolored parity game, with a bound of twice the product size.  The
+    automaton is built over the formula's own propositions and the color;
+    arena labels are projected onto the former.
     """
     from .formulas import And
     from .modelcheck import relax_prompt
     from .omega import ldl_to_dpa
     from .translate import ltl_surface_to_ldl
 
-    props = sorted(propositions(psi) | graph.propositions)
-    color_prop = _fresh_prop(props)
+    props = sorted(propositions(psi))
+    color_prop = _fresh_prop(propositions(psi) | graph.propositions)
     relaxed = ltl_surface_to_ldl(relax_prompt(psi, color_prop))
     objective = And(relaxed, _changes_infinitely(color_prop))
     dpa = ldl_to_dpa(objective, sorted([*props, color_prop]))

@@ -1,7 +1,8 @@
 """Model checking of finite transition systems.
 
-Thresholded checks compile the negated property to an automaton and
-intersect with the system; prompt checks use the alternating-color
+Thresholded checks compile the negated property to an automaton over
+the formula's own propositions and search its product with the system
+for an accepting lasso; prompt checks use the alternating-color
 technique, solving a one-player recoloring game where the verifier
 controls only the fresh color proposition.
 """
@@ -35,7 +36,13 @@ from .formulas import (
     propositions,
     require_logic,
 )
-from .guards import determinize, dfa_product, extract_regex, thompson
+from .guards import (
+    _guard_prop_formulas,
+    determinize,
+    dfa_product,
+    extract_regex,
+    thompson,
+)
 from .semantics import eval_rldl
 from .traces import LassoTrace
 from .truth import BOTTOM, TOP, TruthValue4
@@ -222,24 +229,42 @@ def shrink_lasso(trace: LassoTrace) -> LassoTrace:
 def mc_rldl(ts: TransitionSystem, phi: Formula, beta: TruthValue4) -> McResult:
     """Do all traces of the system reach the threshold?
 
-    Compiles the complement at the threshold, intersects with the system
-    automaton, and extracts an oracle-verified counterexample lasso on
-    emptiness failure.
+    Compiles the complement at the threshold over the formula's own
+    propositions and searches its product with the system, from the
+    initial pair only, for an accepting cycle.  A product node pairs a
+    system state with an automaton state, which reads the system label
+    projected onto the formula's propositions; every system state
+    accepts, so a node accepts when its automaton state does.  The
+    counterexample keeps the full system labels and is checked against
+    the automaton, the oracle and the system before it is returned.
     """
     from .apa import apa_complement, from_rldl
-    from .omega import apa_to_nba, nba_emptiness, nba_intersection
+    from .omega import apa_to_nba, lasso_search, nba_accepts_lasso
 
     require_logic(phi, LogicId.RLDL)
     ts.validate()
     if beta == BOTTOM:
         return McResult(True)
-    props = sorted(set(propositions(phi)) | set(ts.propositions))
-    apa = from_rldl(phi, beta, props)
-    bad = apa_to_nba(apa_complement(apa))
-    sys_nba = ts_to_nba(ts, props)
-    witness = nba_emptiness(nba_intersection(sys_nba, bad))
+    props = tuple(sorted(propositions(phi)))
+    keep = frozenset(props)
+    bad = apa_to_nba(apa_complement(from_rldl(phi, beta, props)))
+
+    def successors(node):
+        s, q = node
+        label = ts.labels[s]
+        targets = bad.transitions[(q, label & keep)]
+        return [(label, (t, q2)) for t in ts.edges[s] for q2 in targets]
+
+    witness = lasso_search(
+        (ts.initial, bad.initial),
+        successors,
+        lambda node: node[1] in bad.accepting,
+    )
     if witness is None:
         return McResult(True)
+    if not nba_accepts_lasso(bad, witness.project(keep)):
+        msg = "internal error: emptiness witness rejected"
+        raise AssertionError(msg)
     witness = shrink_lasso(witness)
     if eval_rldl(witness, phi) >= beta:
         msg = "internal error: counterexample meets the threshold"
@@ -331,12 +356,6 @@ def _window_guard(guard: Guard, color_prop: str) -> Guard:
     d2 = determinize(thompson(pattern), props)
     product = dfa_product(d1, d2)
     return extract_regex(product, product.initial, product.finals)
-
-
-def _guard_prop_formulas(guard: Guard):
-    from .guards import _guard_prop_formulas as inner
-
-    return inner(guard)
 
 
 def _limit_prompt(psi: Formula) -> Formula:

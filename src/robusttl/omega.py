@@ -252,58 +252,75 @@ def nba_emptiness(nba: NBA) -> LassoTrace | None:
     cycle and checked against the automaton before being returned.
     """
     letters = all_letters(nba.props)
-    parent: dict = {nba.initial: None}
-    work = deque((nba.initial,))
-    reach_order = [nba.initial]
+
+    def successors(q: int):
+        return [
+            (letter, q2)
+            for letter in letters
+            for q2 in nba.transitions[(q, letter)]
+        ]
+
+    witness = lasso_search(nba.initial, successors, nba.accepting.__contains__)
+    if witness is not None and not nba_accepts_lasso(nba, witness):
+        msg = "internal error: emptiness witness rejected"
+        raise AssertionError(msg)
+    return witness
+
+
+def lasso_search(initial, successors, accepting) -> LassoTrace | None:
+    """A lasso through a reachable accepting node on a cycle, or None.
+
+    The graph is built breadth-first from ``initial`` only:
+    ``successors(node)`` gives the (letter, node) pairs leaving a node and
+    is called once per reached node.  The first reached accepting node
+    that lies on a cycle gives the lasso: its breadth-first path as the
+    prefix and its shortest cycle as the loop.
+    """
+    graph: dict = {}
+    parent: dict = {initial: None}
+    work = deque((initial,))
+    reach_order = [initial]
     while work:
-        q = work.popleft()
-        for letter in letters:
-            for q2 in nba.transitions[(q, letter)]:
-                if q2 not in parent:
-                    parent[q2] = (q, letter)
-                    reach_order.append(q2)
-                    work.append(q2)
+        node = work.popleft()
+        graph[node] = succs = tuple(successors(node))
+        for letter, node2 in succs:
+            if node2 not in parent:
+                parent[node2] = (node, letter)
+                reach_order.append(node2)
+                work.append(node2)
     for target in reach_order:
-        if target not in nba.accepting:
+        if not accepting(target):
             continue
-        cycle = _cycle_word(nba, letters, target)
+        cycle = _cycle_word(graph, target)
         if cycle is None:
             continue
         prefix: list = []
         node = target
         while parent[node] is not None:
-            q, letter = parent[node]
+            node, letter = parent[node]
             prefix.append(letter)
-            node = q
         prefix.reverse()
-        witness = LassoTrace(tuple(prefix), tuple(cycle))
-        if not nba_accepts_lasso(nba, witness):
-            msg = "internal error: emptiness witness rejected"
-            raise AssertionError(msg)
-        return witness
+        return LassoTrace(tuple(prefix), tuple(cycle))
     return None
 
 
-def _cycle_word(nba: NBA, letters, target: int):
+def _cycle_word(graph: dict, target) -> list | None:
     """Shortest nonempty letter sequence from target back to target."""
     parent: dict = {target: None}
     queue = deque((target,))
     while queue:
-        q = queue.popleft()
-        for letter in letters:
-            for q2 in nba.transitions[(q, letter)]:
-                if q2 == target:
-                    word = [letter]
-                    node = q
-                    while parent[node] is not None:
-                        pq, pl = parent[node]
-                        word.append(pl)
-                        node = pq
-                    word.reverse()
-                    return word
-                if q2 not in parent:
-                    parent[q2] = (q, letter)
-                    queue.append(q2)
+        node = queue.popleft()
+        for letter, node2 in graph[node]:
+            if node2 == target:
+                word = [letter]
+                while parent[node] is not None:
+                    node, pl = parent[node]
+                    word.append(pl)
+                word.reverse()
+                return word
+            if node2 not in parent:
+                parent[node2] = (node, letter)
+                queue.append(node2)
     return None
 
 

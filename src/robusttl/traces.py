@@ -57,6 +57,14 @@ class LassoTrace:
             out |= letter
         return frozenset(out)
 
+    def project(self, props) -> "LassoTrace":
+        """The same lasso with every letter restricted to props."""
+        keep = frozenset(props)
+        return LassoTrace(
+            tuple(a & keep for a in self.prefix),
+            tuple(a & keep for a in self.loop),
+        )
+
     def __str__(self) -> str:
         return format_trace(self)
 

@@ -40,6 +40,7 @@ from .formulas import (
     require_logic,
 )
 from .guards import (
+    _guard_prop_formulas,
     all_letters,
     determinize,
     extract_regex,
@@ -278,7 +279,7 @@ def _split_guard(guard: Guard):
     language from q to the final states.
     """
     props = sorted(
-        {p for f in _guard_props(guard) for p in propositions(f)}
+        {p for f in _guard_prop_formulas(guard) for p in propositions(f)}
     )
     dfa = determinize(thompson(guard), props)
     alphabet = all_letters(dfa.props)
@@ -299,12 +300,6 @@ def _split_guard(guard: Guard):
         completion = extract_regex(dfa, q, dfa.finals)
         splits.append((prefix, completion))
     return splits
-
-
-def _guard_props(guard: Guard):
-    from .guards import _guard_prop_formulas
-
-    return _guard_prop_formulas(guard)
 
 
 def _fold(parts, smash):

@@ -8,6 +8,11 @@ games makes this exact.
 unpruned_apa_to_nba is the plain breakpoint construction: every choice of
 one minimal model per active state gives a successor, with no pruning of
 dominated successors.
+
+full_alphabet_mc_witness is the model check over the union of the
+formula's and the system's propositions: the system as a Buechi
+automaton, intersected over the full product state space with the
+complement automaton, then searched for emptiness.
 """
 
 from __future__ import annotations
@@ -146,3 +151,15 @@ def unpruned_apa_to_nba(a):
             transitions[(index[node], letter)] = tuple(out)
     accepting = frozenset(index[s] for s in order if not s[1])
     return NBA(a.props, len(order), 0, transitions, accepting)
+
+
+def full_alphabet_mc_witness(ts, phi, beta):
+    """A lasso of the system below the threshold, or None when it holds."""
+    from robusttl.apa import apa_complement, from_rldl
+    from robusttl.formulas import propositions
+    from robusttl.modelcheck import ts_to_nba
+    from robusttl.omega import apa_to_nba, nba_emptiness, nba_intersection
+
+    props = sorted(propositions(phi) | ts.propositions)
+    bad = apa_to_nba(apa_complement(from_rldl(phi, beta, props)))
+    return nba_emptiness(nba_intersection(ts_to_nba(ts, props), bad))

@@ -385,6 +385,21 @@ def test_guard_check_syntax_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--logic", "ltl", "--formula", "X " * 5000 + "p", "--trace", "; {p}"],
+        ["compile", "--formula", "[tt*] " * 300 + "p", "--beta", "1111"],
+    ],
+)
+def test_deep_nesting_exits_two_without_traceback(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: formula nested too deeply")
+    assert "Traceback" not in err
+
+
 def test_fuzz_reports_ok_and_is_deterministic(capsys):
     argv = ["fuzz", "--trials", "10", "--seed", "7", "--size", "5"]
     code, first, _ = run(argv, capsys)

@@ -338,3 +338,50 @@ def test_play_lasso_letters_match_labels():
     word = list(trace.prefix + trace.loop)
     assert word[0] == frozenset({"p"})
     assert all(letter in (frozenset({"p"}), frozenset()) for letter in word)
+
+
+def _restricted(graph: LabeledGameGraph, props) -> LabeledGameGraph:
+    keep = frozenset(props)
+    labels = {v: label & keep for v, label in graph.labels.items()}
+    return LabeledGameGraph(graph.vertices, graph.owner, graph.edges, labels)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rldl_game_projects_extra_arena_labels(seed):
+    rng = make_rng(seed + 600)
+    graph = random_labeled_game(rng, rng.randint(2, 4), ("p", "q", "r", "s"))
+    restricted = _restricted(graph, ("p", "q"))
+    for text in ("[tt*] (p -> <tt> q)", "[tt*] <tt*> (p & !q)"):
+        phi = parse(text, LogicId.RLDL)
+        for beta in (B("1111"), B("0011"), B("0001")):
+            for vertex in graph.vertices[:2]:
+                result = solve_rldl_game(graph, phi, beta, vertex)
+                want = solve_rldl_game(restricted, phi, beta, vertex).winner
+                assert result.winner == want
+                if result.winner != 0:
+                    continue
+                for adversary in adversaries(graph, rng, 4):
+                    trace = play_lasso(graph, result.strategy, vertex, adversary)
+                    assert eval_rldl(trace, phi) >= beta
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prompt_games_project_extra_arena_labels(seed):
+    rng = make_rng(seed + 700)
+    # The label c is the name the recoloring reduction would pick first.
+    graph = random_labeled_game(rng, rng.randint(2, 4), ("s", "c", "q"))
+    restricted = _restricted(graph, ("s",))
+    psi = parse("G Fp s", LogicId.PROMPT_LTL)
+    for vertex in graph.vertices:
+        result = solve_prompt_game(graph, psi, vertex)
+        assert result.winner == solve_prompt_game(restricted, psi, vertex).winner
+        for beta in (B("1111"), B("0011"), B("0001")):
+            assert (
+                solve_rprompt_game(graph, ROBUST_RECURRENCE, beta, vertex).winner
+                == solve_rprompt_game(restricted, ROBUST_RECURRENCE, beta, vertex).winner
+            )
+        if result.winner != 0:
+            continue
+        for adversary in adversaries(graph, rng, 4):
+            trace = play_lasso(graph, result.strategy, vertex, adversary)
+            assert eval_prompt_ltl(trace, result.bound, psi)

@@ -1,7 +1,8 @@
 import pytest
+from _oracles import full_alphabet_mc_witness
 
-from robusttl.formulas import LogicId
-from robusttl.gen import make_rng, random_lasso, random_system
+from robusttl.formulas import LogicId, format_formula
+from robusttl.gen import make_rng, random_formula, random_lasso, random_system
 from robusttl.modelcheck import (
     SystemFormatError,
     TerminalStateError,
@@ -272,3 +273,43 @@ def _sample_traces(ts, rng, count):
         loop = tuple(ts.labels[s] for s in path[start:])
         out.append(LassoTrace(prefix, loop))
     return out
+
+
+PQRS = ("p", "q", "r", "s")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_projected_mc_matches_full_alphabet_reference(seed):
+    rng = make_rng(seed + 500)
+    ts = random_system(rng, rng.randint(2, 5), PQRS)
+    phi = random_formula(rng, LogicId.RLDL, rng.randint(1, 5), ("p", "q"))
+    for beta in POSITIVE_VALUES:
+        result = mc_rldl(ts, phi, beta)
+        reference = full_alphabet_mc_witness(ts, phi, beta)
+        assert result.holds == (reference is None), (format_formula(phi), beta)
+        if not result.holds:
+            cex = result.counterexample
+            assert eval_rldl(cex, phi) < beta
+            assert is_trace_of(ts, cex)
+
+
+def test_mc_automata_are_built_over_the_formula_props(monkeypatch):
+    import robusttl.omega as omega
+
+    built = []
+    original = omega.apa_to_nba
+
+    def recording(a):
+        nba = original(a)
+        built.append((a.props, nba.n_states))
+        return nba
+
+    monkeypatch.setattr(omega, "apa_to_nba", recording)
+    phi = parse("[tt*] (p -> <tt*> q)", LogicId.RLDL)
+    names = ("p", "q", "r", "s", "t", "u")
+    for width in range(2, 7):
+        ts = random_system(make_rng(width), 6, names[:width])
+        assert ts.propositions == set(names[:width])
+        mc_rldl(ts, phi, from_string("0011"))
+    assert [props for props, _ in built] == [("p", "q")] * 5
+    assert len({n for _, n in built}) == 1
