@@ -294,58 +294,46 @@ def apa_accepts_lasso(a: APA, trace: LassoTrace) -> bool:
     if not trace.propositions <= set(a.props):
         msg = "trace uses propositions outside the automaton alphabet"
         raise AlphabetMismatchError(msg)
-    owner = {}
-    edges = {}
-    color = {}
-    accept = ("acc",)
-    reject = ("rej",)
-    owner[accept] = 1
-    edges[accept] = (accept,)
-    color[accept] = 0
-    owner[reject] = 0
-    edges[reject] = (reject,)
-    color[reject] = 1
-    seen = set()
-    start = ("s", a.initial, 0)
-    work = [start]
-    seen.add(start)
-    while work:
-        node = work.pop()
-        succs: list
+    # Vertex 0 accepts and vertex 1 rejects: self-loops of color 0 and 1.
+    nodes: list = [("acc",), ("rej",), ("s", a.initial, 0)]
+    index = {node: i for i, node in enumerate(nodes)}
+    owner = [1, 0]
+    edges = [(0,), (1,)]
+    color = [0, 1]
+    for node in itertools.islice(nodes, 2, None):  # grows while it is walked
+        player = 0
+        shade = 0
         if node[0] == "s":
             _, q, cls = node
             letter = trace.letter_at(cls)
             pb = a.delta[(q, letter)]
-            nxt = ("f", pb, trace.canonical_index(cls + 1))
-            owner[node] = 0
-            color[node] = a.color[q]
-            succs = [nxt]
+            shade = a.color[q]
+            succs = [("f", pb, trace.canonical_index(cls + 1))]
         else:
             _, pb, cls = node
-            owner[node] = 0
-            color[node] = 0
             if isinstance(pb, PBTrue):
-                succs = [accept]
+                succs = [nodes[0]]
             elif isinstance(pb, PBFalse):
-                succs = [reject]
+                succs = [nodes[1]]
             elif isinstance(pb, PBVar):
                 succs = [("s", pb.state, cls)]
             elif isinstance(pb, PBOr):
                 succs = [("f", arg, cls) for arg in pb.args]
             else:
-                owner[node] = 1
+                player = 1
                 succs = [("f", arg, cls) for arg in pb.args]
-        edges[node] = tuple(succs)
+        out = []
         for s in succs:
-            if s not in seen and s not in (accept, reject):
-                seen.add(s)
-                work.append(s)
-    seen.add(accept)
-    seen.add(reject)
-    vertices = tuple(sorted(seen, key=repr))
-    game = ParityGame(vertices, owner, edges, color)
-    win0, _, _, _ = solve_parity(game)
-    return start in win0
+            i = index.get(s)
+            if i is None:
+                i = index[s] = len(nodes)
+                nodes.append(s)
+            out.append(i)
+        owner.append(player)
+        edges.append(tuple(out))
+        color.append(shade)
+    win0, _, _, _ = solve_parity(ParityGame.numbered(owner, edges, color))
+    return 2 in win0
 
     # Note: formula nodes keyed by canonical class; the successor class
     # of a state node is canonical, so the game is finite.

@@ -3,7 +3,8 @@
 Subcommands: eval, translate, compile, mc, synth, guard-check, fuzz.
 Exit codes: 0 success / property holds / player 0 wins, 1 property
 violated / player 1 wins / divergence found, 2 usage or input error
-(a formula nested too deeply for the recursive passes counts as one).
+(a formula nested too deeply for the recursive passes counts as one),
+3 internal error: any other exception, reported as `internal error: …`.
 All output is deterministic given identical inputs and seeds.
 """
 
@@ -23,6 +24,8 @@ from .formulas import (
 )
 from .games import (
     GameFormatError,
+    TerminalVertexError,
+    UnknownVertexError,
     parse_labeled_game,
     solve_prompt_game,
     solve_rldl_game,
@@ -33,6 +36,7 @@ from .guards import HasTestsError, is_limit_matching
 from .hoa import dpa_to_hoa, nba_to_hoa
 from .modelcheck import (
     SystemFormatError,
+    TerminalStateError,
     mc_fragment,
     mc_rldl,
     mc_rprompt_ltl,
@@ -51,20 +55,29 @@ from .translate import (
     ltl_surface_to_ldl,
     rprompt_to_prompt,
 )
-from .traces import format_trace, parse_trace
+from .traces import TraceFormatError, format_trace, parse_trace
 from .truth import NonMonotoneBitsError, TruthValue4, from_string
 
+
+class UsageError(ValueError):
+    """Raised when the command-line arguments do not fit together."""
+
+
 _INPUT_ERRORS = (
+    UsageError,
     FormulaSyntaxError,
+    TraceFormatError,
     LogicViolationError,
     NonMonotoneBitsError,
     SystemFormatError,
+    TerminalStateError,
     GameFormatError,
+    TerminalVertexError,
+    UnknownVertexError,
     NotTestFreeError,
     NotLimitMatchingError,
     MissingBoundError,
     HasTestsError,
-    ValueError,
 )
 
 
@@ -77,12 +90,12 @@ def _logic(text: str) -> LogicId:
     try:
         return LogicId(text)
     except ValueError:
-        raise ValueError(f"unknown logic {text!r}") from None
+        raise UsageError(f"unknown logic {text!r}") from None
 
 
 def _beta(args) -> TruthValue4:
     if args.beta is None:
-        raise ValueError("this command requires --beta")
+        raise UsageError("this command requires --beta")
     return from_string(args.beta)
 
 
@@ -101,6 +114,8 @@ def _cmd_eval(args) -> int:
     trace = parse_trace(args.trace)
     if logic in PROMPT_LOGICS and args.k is None:
         raise MissingBoundError(f"logic {logic.value} requires --k")
+    if logic in PROMPT_LOGICS and args.k < 0:
+        raise UsageError(f"--k must be nonnegative, got {args.k}")
     value = evaluate(trace, phi, logic, args.k)
     print(value if logic in ROBUST_LOGICS else int(value))
     return 0
@@ -119,7 +134,7 @@ def _cmd_translate(args) -> int:
     route = _TRANSLATIONS.get((args.source, args.to))
     if route is None:
         supported = ", ".join(f"{a}->{b}" for a, b in sorted(_TRANSLATIONS))
-        raise ValueError(
+        raise UsageError(
             f"no translation {args.source}->{args.to}; supported: {supported}"
         )
     kind, fn = route
@@ -134,6 +149,10 @@ def _cmd_compile(args) -> int:
     beta = _beta(args)
     check = parse_trace(args.check_trace) if args.check_trace else None
     props = _props(args, propositions(phi), check.propositions if check else ())
+    if not propositions(phi) <= set(props):
+        raise UsageError("--props must cover the propositions of the formula")
+    if check is not None and not check.propositions <= set(props):
+        raise UsageError("--props must cover the propositions of --check-trace")
     if args.target == "nba":
         auto = rldl_to_nba(phi, beta, props)
         text = nba_to_hoa(auto, name=args.name)
@@ -173,7 +192,7 @@ def _cmd_mc(args) -> int:
     elif logic in (LogicId.PROMPT_LTL, LogicId.PROMPT_LDL):
         result = prompt_mc(ts, phi)
     else:
-        raise ValueError(f"model checking does not support logic {logic.value}")
+        raise UsageError(f"model checking does not support logic {logic.value}")
     if result.holds:
         line = "holds"
         if result.bound is not None:
@@ -191,8 +210,6 @@ def _cmd_synth(args) -> int:
     phi = parse(args.formula, logic)
     with open(args.game, encoding="utf-8") as handle:
         graph = parse_labeled_game(handle.read())
-    if args.vertex not in graph.owner:
-        raise ValueError(f"unknown vertex {args.vertex!r}")
     if logic == LogicId.RLDL:
         result = solve_rldl_game(graph, phi, _beta(args), args.vertex)
     elif logic == LogicId.RPROMPT_LTL:
@@ -200,7 +217,7 @@ def _cmd_synth(args) -> int:
     elif logic in (LogicId.PROMPT_LTL, LogicId.PROMPT_LDL):
         result = solve_prompt_game(graph, phi, args.vertex)
     else:
-        raise ValueError(f"synthesis does not support logic {logic.value}")
+        raise UsageError(f"synthesis does not support logic {logic.value}")
     if result.winner == 0:
         line = "winner: 0"
         if result.bound is not None:
@@ -230,6 +247,8 @@ def _cmd_fuzz(args) -> int:
     from .truth import POSITIVE_VALUES
 
     props = tuple(p.strip() for p in args.props.split(",") if p.strip())
+    if not props:
+        raise UsageError("--props must name at least one proposition")
     rng = make_rng(args.seed)
     for trial in range(args.trials):
         phi = random_formula(rng, LogicId.RLDL, rng.randint(1, args.size), props)
@@ -322,6 +341,9 @@ def main(argv=None) -> int:
         return _fail(
             f"formula nested too deeply (Python recursion limit {limit})"
         )
+    except Exception as exc:  # noqa: BLE001 - every other failure is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,6 +5,12 @@ positional strategies for both players.  Labeled game graphs reduce to
 parity games through a deterministic parity automaton for the objective;
 winning strategies come back as finite-state Mealy machines whose memory
 is the automaton state.
+
+The games this package builds number their vertices 0..n-1 and keep a
+`back` list from each number to the product node it stands for; the
+solver numbers any other game's vertices in the order given.  Regions
+are walked as lists in that order, never as sets, so strategies do not
+depend on the hash seed.
 """
 from __future__ import annotations
 
@@ -19,14 +25,32 @@ class TerminalVertexError(ValueError):
     """Raised when a game vertex has no outgoing edge."""
 
 
+class UnknownVertexError(ValueError):
+    """Raised when a game is solved from a vertex the arena lacks."""
+
+
 @dataclass(frozen=True)
 class ParityGame:
-    """Max-parity game; every vertex must have a successor."""
+    """Max-parity game; every vertex must have a successor.
+
+    Vertices may be any hashable values; owner, edges and color map each
+    vertex to its player, its successors and its color."""
 
     vertices: tuple
     owner: dict
     edges: dict
     color: dict
+
+    @classmethod
+    def numbered(cls, owner: list, edges: list, color: list) -> ParityGame:
+        """Game on vertices 0..n-1; vertex i's fields are the i-th items."""
+        vertices = tuple(range(len(owner)))
+        return cls(
+            vertices,
+            dict(zip(vertices, owner)),
+            dict(zip(vertices, edges)),
+            dict(zip(vertices, color)),
+        )
 
     def validate(self) -> None:
         for v in self.vertices:
@@ -42,78 +66,114 @@ def solve_parity(game: ParityGame):
     vertices of player X inside X's winning region to a chosen successor.
     """
     game.validate()
-    region = set(game.vertices)
-    win0, win1, strat0, strat1 = _zielonka(game, region)
-    return frozenset(win0), frozenset(win1), strat0, strat1
+    vertices = game.vertices
+    numbered = vertices == tuple(range(len(vertices)))
+    if numbered:
+        succ = [game.edges[v] for v in vertices]
+    else:
+        index = {v: i for i, v in enumerate(vertices)}
+        succ = [tuple(index[s] for s in game.edges[v]) for v in vertices]
+        del index
+    owner = [game.owner[v] for v in vertices]
+    color = [game.color[v] for v in vertices]
+    (win0, win1), (strat0, strat1) = _zielonka(succ, owner, color)
+    if numbered:
+        return frozenset(win0), frozenset(win1), strat0, strat1
+    name = vertices.__getitem__
+    return (
+        frozenset(map(name, win0)),
+        frozenset(map(name, win1)),
+        {name(v): name(s) for v, s in strat0.items()},
+        {name(v): name(s) for v, s in strat1.items()},
+    )
 
 
-def _attractor(game: ParityGame, region: set, target: set, player: int):
-    """Player's attractor to target within region, with attraction moves."""
-    attracted = set(target)
-    strategy: dict = {}
-    out_degree = {
-        v: sum(1 for s in game.edges[v] if s in region)
-        for v in region
-        if game.owner[v] != player
-    }
-    preds: dict = {v: [] for v in region}
-    for v in region:
-        for s in game.edges[v]:
-            if s in region:
-                preds[s].append(v)
-    queue = list(target)
-    while queue:
-        node = queue.pop()
-        for v in preds[node]:
-            if v in attracted:
-                continue
-            if game.owner[v] == player:
-                attracted.add(v)
-                strategy[v] = node
-                queue.append(v)
-            else:
-                out_degree[v] -= 1
-                if out_degree[v] == 0:
-                    attracted.add(v)
-                    queue.append(v)
-    return attracted, strategy
+def _zielonka(succ: list, owner: list, color: list):
+    """Zielonka's algorithm on vertices 0..n-1.
 
+    Returns ((win0, win1), (strategy0, strategy1)) with the regions as
+    lists.  Predecessor lists are built once; `state` marks the current
+    region (1), the vertices one attractor has taken so far (2) and
+    everything else (0).  An attractor counts an opponent vertex's
+    successors inside the region only when it first reaches that vertex.
+    The second recursive call of the textbook algorithm, on what is left
+    once the opponent's attractor is removed, is the loop in `solve`, so
+    the recursion is at most as deep as the number of distinct colors.
+    """
+    everything = list(range(len(succ)))
+    lists: list = [[] for _ in everything]
+    for v, out in zip(everything, succ):
+        for s in out:
+            lists[s].append(v)
+    # Tuples hold their items inline, which lowers the peak memory.
+    pred = [tuple(p) for p in lists]
+    del lists
+    state = bytearray(b"\x01") * len(everything)
 
-def _zielonka(game: ParityGame, region: set):
-    if not region:
-        return set(), set(), {}, {}
-    top = max(game.color[v] for v in region)
-    player = 0 if top % 2 == 0 else 1
-    target = {v for v in region if game.color[v] == top}
-    attracted, attract_strat = _attractor(game, region, target, player)
-    sub = region - attracted
-    w0, w1, s0, s1 = _zielonka(game, sub)
-    win_me, strat_me = (w0, s0) if player == 0 else (w1, s1)
-    win_op, strat_op = (w1, s1) if player == 0 else (w0, s0)
-    if not win_op:
-        # The whole region is winning for the dominant player.
-        strat = dict(strat_me)
-        strat.update(attract_strat)
+    def attract(target: list, player: int):
+        """Player's attractor to target within the region, with its
+        attraction moves; the attractor leaves the region."""
         for v in target:
-            if game.owner[v] == player and v not in strat:
-                strat[v] = next(s for s in game.edges[v] if s in region)
-        if player == 0:
-            return set(region), set(), strat, {}
-        return set(), set(region), {}, strat
-    escape, escape_strat = _attractor(game, region, set(win_op), 1 - player)
-    rest = region - escape
-    r0, r1, t0, t1 = _zielonka(game, rest)
-    if player == 0:
-        win1_total = r1 | escape
-        strat1_total = dict(s1)
-        strat1_total.update(escape_strat)
-        strat1_total.update(t1)
-        return set(r0), win1_total, t0, strat1_total
-    win0_total = r0 | escape
-    strat0_total = dict(s0)
-    strat0_total.update(escape_strat)
-    strat0_total.update(t0)
-    return win0_total, set(r1), strat0_total, t1
+            state[v] = 2
+        attracted = list(target)
+        strategy: dict = {}
+        # opponent vertex -> its edges into the region not yet walked back
+        pending: dict = {}
+        for node in attracted:  # grows while it is walked
+            for v in pred[node]:
+                if state[v] != 1:
+                    continue
+                if owner[v] == player:
+                    strategy[v] = node
+                else:
+                    left = pending.get(v)
+                    if left is None:
+                        left = len(succ[v]) - [state[s] for s in succ[v]].count(0)
+                    left -= 1
+                    if left:
+                        pending[v] = left
+                        continue
+                state[v] = 2
+                attracted.append(v)
+        for v in attracted:
+            state[v] = 0
+        return attracted, strategy
+
+    def solve(region: list):
+        """Solution of the subgame on region; `state` marks exactly region
+        on entry and again on return."""
+        wins: tuple = ([], [])
+        strats: tuple = ({}, {})
+        removed: list = []
+        while region:
+            top = max(map(color.__getitem__, region))
+            me = top & 1
+            target = [v for v in region if color[v] == top]
+            attracted, strategy = attract(target, me)
+            sub_wins, sub_strats = solve([v for v in region if state[v]])
+            for v in attracted:
+                state[v] = 1
+            if not sub_wins[1 - me]:
+                # The whole region is winning for the dominant player.
+                wins[me].extend(region)
+                mine = strats[me]
+                mine.update(sub_strats[me])
+                mine.update(strategy)
+                for v in target:
+                    if owner[v] == me:
+                        mine[v] = next(s for s in succ[v] if state[s])
+                break
+            escape, strategy = attract(sub_wins[1 - me], 1 - me)
+            removed += escape
+            wins[1 - me].extend(escape)
+            strats[1 - me].update(sub_strats[1 - me])
+            strats[1 - me].update(strategy)
+            region = [v for v in region if state[v]]
+        for v in removed:
+            state[v] = 1
+        return wins, strats
+
+    return solve(everything)
 
 
 @dataclass(frozen=True)
@@ -139,40 +199,43 @@ class LabeledGameGraph:
         return frozenset(out)
 
 
-def reduce_game(graph: LabeledGameGraph, dpa) -> tuple[ParityGame, dict]:
+def reduce_game(graph: LabeledGameGraph, dpa) -> tuple[ParityGame, list]:
     """Product of an arena with a deterministic parity automaton.
 
-    Vertices are (arena vertex, automaton state); the automaton advances
+    Nodes are (arena vertex, automaton state); the automaton advances
     on the label of the vertex being left, projected onto its own
-    propositions; colors come from the automaton.
+    propositions; colors come from the automaton.  The game numbers the
+    nodes reachable from every (v, initial) breadth-first, seeded in
+    arena-vertex order, so (v, initial) is numbered by v's position;
+    back[i] is node i.
     """
     graph.validate()
     keep = frozenset(dpa.props)
-    vertices = []
-    owner = {}
-    edges = {}
-    color = {}
-    seen = set()
-    queue = [(v, dpa.initial) for v in graph.vertices]
-    for node in queue:
-        seen.add(node)
-    work = list(queue)
-    while work:
-        node = work.pop()
-        v, q = node
-        q2 = dpa.step(q, graph.labels[v] & keep)
-        succs = tuple((v2, q2) for v2 in graph.edges[v])
-        edges[node] = succs
-        owner[node] = graph.owner[v]
-        color[node] = dpa.color[q]
-        for s in succs:
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
-    vertices = tuple(sorted(seen, key=repr))
-    game = ParityGame(vertices, owner, edges, color)
-    back = {node: node[0] for node in vertices}
-    return game, back
+    letter = {v: graph.labels[v] & keep for v in graph.vertices}
+    back = [(v, dpa.initial) for v in graph.vertices]
+    index = {node: i for i, node in enumerate(back)}
+    rows: dict = {}  # (v, next state) -> successors, shared between nodes
+    owner = []
+    edges = []
+    color = []
+    for v, q in back:  # grows while it is walked
+        q2 = dpa.step(q, letter[v])
+        out = rows.get((v, q2))
+        if out is None:
+            out = []
+            for v2 in graph.edges[v]:
+                node = (v2, q2)
+                i = index.get(node)
+                if i is None:
+                    i = index[node] = len(back)
+                    back.append(node)
+                out.append(i)
+            out = rows[(v, q2)] = tuple(out)
+        edges.append(out)
+        owner.append(graph.owner[v])
+        color.append(dpa.color[q])
+    del index, rows
+    return ParityGame.numbered(owner, edges, color), back
 
 
 @dataclass(frozen=True)
@@ -201,22 +264,30 @@ class GameResult:
     bound: int | None = None
 
 
-def _strategy_from_product(graph: LabeledGameGraph, dpa, win0, strat0) -> MealyStrategy:
-    """Mealy machine with the automaton state as memory."""
-    keep = frozenset(dpa.props)
+def _start(graph: LabeledGameGraph, vertex) -> int:
+    """Position of vertex in the arena, which numbers its start node."""
+    try:
+        return graph.vertices.index(vertex)
+    except ValueError:
+        msg = f"unknown vertex {vertex!r}"
+        raise UnknownVertexError(msg) from None
+
+
+def _strategy_from_product(
+    game: ParityGame, back: list, initial, win0, strat0
+) -> MealyStrategy:
+    """Mealy machine with the automaton state as memory, read off the
+    product nodes in player 0's region."""
     update = {}
     choice = {}
-    for v in graph.vertices:
-        for q in dpa.states():
-            if (v, q) not in win0:
-                continue
-            q2 = dpa.step(q, graph.labels[v] & keep)
-            update[(q, v)] = q2
-            if graph.owner[v] == 0:
-                target = strat0.get((v, q))
-                if target is not None:
-                    choice[(q, v)] = target[0]
-    return MealyStrategy(dpa.initial, update, choice)
+    for i in win0:
+        v, q = back[i]
+        # Every successor of (v, q) carries the same next automaton state.
+        update[(q, v)] = back[game.edges[i][0]][1]
+        target = strat0.get(i)
+        if target is not None:
+            choice[(q, v)] = back[target][0]
+    return MealyStrategy(initial, update, choice)
 
 
 def solve_rldl_game(
@@ -233,54 +304,56 @@ def solve_rldl_game(
     from .omega import rldl_to_dpa
 
     require_logic(phi, LogicId.RLDL)
+    start = _start(graph, vertex)
     dpa = rldl_to_dpa(phi, beta, sorted(propositions(phi)))
-    game, _ = reduce_game(graph, dpa)
-    win0, win1, strat0, _strat1 = solve_parity(game)
-    start = (vertex, dpa.initial)
+    game, back = reduce_game(graph, dpa)
+    win0, _win1, strat0, _strat1 = solve_parity(game)
     if start in win0:
-        return GameResult(0, _strategy_from_product(graph, dpa, win0, strat0))
+        strategy = _strategy_from_product(game, back, dpa.initial, win0, strat0)
+        return GameResult(0, strategy)
     return GameResult(1, None)
 
 
-def _color_game(graph: LabeledGameGraph, dpa, color_prop: str) -> ParityGame:
+def _color_game(graph: LabeledGameGraph, dpa, color_prop: str):
     """Arena where player 0 additionally picks the recoloring bit.
 
     Nodes ('pick', v, q) belong to player 0 and choose the color emitted
     with v's label, projected onto the automaton's other propositions;
     nodes ('move', v, q') pick the successor vertex and belong to v's
-    owner.
+    owner.  Returns the game, numbered as in reduce_game from every
+    ('pick', v, initial), its back list and the number of pick nodes.
     """
     keep = frozenset(dpa.props) - {color_prop}
-    owner = {}
-    edges = {}
-    color = {}
-    start_nodes = [("pick", v, dpa.initial) for v in graph.vertices]
-    seen = set(start_nodes)
-    work = list(start_nodes)
-    while work:
-        node = work.pop()
-        kind = node[0]
+    letters = {}
+    for v in graph.vertices:
+        label = graph.labels[v] & keep
+        letters[v] = (label, label | {color_prop})
+    back = [("pick", v, dpa.initial) for v in graph.vertices]
+    index = {node: i for i, node in enumerate(back)}
+    owner = []
+    edges = []
+    color = []
+    picks = 0
+    for kind, v, q in back:  # grows while it is walked
         if kind == "pick":
-            _, v, q = node
-            label = graph.labels[v] & keep
-            succs = [
-                ("move", v, dpa.step(q, label)),
-                ("move", v, dpa.step(q, label | {color_prop})),
-            ]
-            owner[node] = 0
-            color[node] = dpa.color[q]
+            picks += 1
+            succs = [("move", v, dpa.step(q, letter)) for letter in letters[v]]
+            owner.append(0)
+            color.append(dpa.color[q])
         else:
-            _, v, q2 = node
-            succs = [("pick", v2, q2) for v2 in graph.edges[v]]
-            owner[node] = graph.owner[v]
-            color[node] = 0
-        edges[node] = tuple(succs)
-        for s in succs:
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
-    vertices = tuple(sorted(seen, key=repr))
-    return ParityGame(vertices, owner, edges, color)
+            succs = [("pick", v2, q) for v2 in graph.edges[v]]
+            owner.append(graph.owner[v])
+            color.append(0)
+        out = []
+        for node in succs:
+            i = index.get(node)
+            if i is None:
+                i = index[node] = len(back)
+                back.append(node)
+            out.append(i)
+        edges.append(tuple(out))
+    del index
+    return ParityGame.numbered(owner, edges, color), back, picks
 
 
 def solve_prompt_game(
@@ -303,31 +376,28 @@ def solve_prompt_game(
     from .omega import ldl_to_dpa
     from .translate import ltl_surface_to_ldl
 
+    start = _start(graph, vertex)
     props = sorted(propositions(psi))
     color_prop = _fresh_prop(propositions(psi) | graph.propositions)
     relaxed = ltl_surface_to_ldl(relax_prompt(psi, color_prop))
     objective = And(relaxed, _changes_infinitely(color_prop))
     dpa = ldl_to_dpa(objective, sorted([*props, color_prop]))
-    game = _color_game(graph, dpa, color_prop)
+    game, back, picks = _color_game(graph, dpa, color_prop)
     win0, _win1, strat0, _ = solve_parity(game)
-    start = ("pick", vertex, dpa.initial)
     if start not in win0:
         return GameResult(1, None)
-    picks = sum(1 for n in game.vertices if n[0] == "pick")
     bound = 2 * (picks + 1)
     update = {}
     choice = {}
-    for node in game.vertices:
-        if node[0] != "pick" or node not in win0:
+    for i in win0:
+        kind, v, q = back[i]
+        if kind != "pick":
             continue
-        _, v, q = node
-        move_node = strat0[node]
-        _, _, q2 = move_node
-        update[(q, v)] = q2
-        if graph.owner[v] == 0:
-            succ = strat0.get(move_node)
-            if succ is not None:
-                choice[(q, v)] = succ[1]
+        move = strat0[i]
+        update[(q, v)] = back[move][2]
+        succ = strat0.get(move)
+        if succ is not None:
+            choice[(q, v)] = back[succ][1]
     strategy = MealyStrategy(dpa.initial, update, choice)
     return GameResult(0, strategy, bound)
 

@@ -82,13 +82,21 @@ def format_trace(trace: LassoTrace) -> str:
     return f"; {loop}"
 
 
+class TraceFormatError(ValueError):
+    """Raised on malformed lasso text."""
+
+
 def parse_trace(text: str) -> LassoTrace:
     """Parse a lasso written as letters, a semicolon, then loop letters."""
     if text.count(";") != 1:
         msg = "trace must contain exactly one ';' separating prefix and loop"
-        raise ValueError(msg)
+        raise TraceFormatError(msg)
     prefix_text, loop_text = text.split(";")
-    return LassoTrace(_parse_letters(prefix_text), _parse_letters(loop_text))
+    loop = _parse_letters(loop_text)
+    if not loop:
+        msg = "lasso loop must be nonempty"
+        raise TraceFormatError(msg)
+    return LassoTrace(_parse_letters(prefix_text), loop)
 
 
 def _parse_letters(text: str) -> tuple[frozenset[str], ...]:
@@ -97,17 +105,17 @@ def _parse_letters(text: str) -> tuple[frozenset[str], ...]:
     while rest:
         if not rest.startswith("{"):
             msg = f"expected a letter starting with '{{' at {rest[:10]!r}"
-            raise ValueError(msg)
+            raise TraceFormatError(msg)
         end = rest.find("}")
         if end < 0:
             msg = f"unterminated letter in {rest[:10]!r}"
-            raise ValueError(msg)
+            raise TraceFormatError(msg)
         body = rest[1:end].strip()
         if body:
             props = frozenset(p.strip() for p in body.split(","))
             if any(not p for p in props):
                 msg = f"empty proposition name in letter {rest[: end + 1]!r}"
-                raise ValueError(msg)
+                raise TraceFormatError(msg)
             letters.append(props)
         else:
             letters.append(frozenset())

@@ -9,6 +9,10 @@ unpruned_apa_to_nba is the plain breakpoint construction: every choice of
 one minimal model per active state gives a successor, with no pruning of
 dominated successors.
 
+reference_solve_parity is the plain recursive Zielonka solver over
+Python sets, with an attractor that rebuilds predecessor lists and
+out-degrees over its whole region on every call.
+
 full_alphabet_mc_witness is the model check over the union of the
 formula's and the system's propositions: the system as a Buechi
 automaton, intersected over the full product state space with the
@@ -151,6 +155,76 @@ def unpruned_apa_to_nba(a):
             transitions[(index[node], letter)] = tuple(out)
     accepting = frozenset(index[s] for s in order if not s[1])
     return NBA(a.props, len(order), 0, transitions, accepting)
+
+
+def reference_solve_parity(game):
+    """(win0, win1, strategy0, strategy1) by the recursive Zielonka solver."""
+    game.validate()
+    win0, win1, strat0, strat1 = _reference_zielonka(game, set(game.vertices))
+    return frozenset(win0), frozenset(win1), strat0, strat1
+
+
+def _reference_attractor(game, region: set, target: set, player: int):
+    attracted = set(target)
+    strategy: dict = {}
+    out_degree = {
+        v: sum(1 for s in game.edges[v] if s in region)
+        for v in region
+        if game.owner[v] != player
+    }
+    preds: dict = {v: [] for v in region}
+    for v in region:
+        for s in game.edges[v]:
+            if s in region:
+                preds[s].append(v)
+    queue = list(target)
+    while queue:
+        node = queue.pop()
+        for v in preds[node]:
+            if v in attracted:
+                continue
+            if game.owner[v] == player:
+                attracted.add(v)
+                strategy[v] = node
+                queue.append(v)
+            else:
+                out_degree[v] -= 1
+                if out_degree[v] == 0:
+                    attracted.add(v)
+                    queue.append(v)
+    return attracted, strategy
+
+
+def _reference_zielonka(game, region: set):
+    if not region:
+        return set(), set(), {}, {}
+    top = max(game.color[v] for v in region)
+    player = 0 if top % 2 == 0 else 1
+    target = {v for v in region if game.color[v] == top}
+    attracted, attract_strat = _reference_attractor(game, region, target, player)
+    w0, w1, s0, s1 = _reference_zielonka(game, region - attracted)
+    strat_me = s0 if player == 0 else s1
+    win_op = w1 if player == 0 else w0
+    if not win_op:
+        strat = dict(strat_me)
+        strat.update(attract_strat)
+        for v in target:
+            if game.owner[v] == player and v not in strat:
+                strat[v] = next(s for s in game.edges[v] if s in region)
+        if player == 0:
+            return set(region), set(), strat, {}
+        return set(), set(region), {}, strat
+    escape, escape_strat = _reference_attractor(game, region, set(win_op), 1 - player)
+    r0, r1, t0, t1 = _reference_zielonka(game, region - escape)
+    if player == 0:
+        strat1 = dict(s1)
+        strat1.update(escape_strat)
+        strat1.update(t1)
+        return set(r0), r1 | escape, t0, strat1
+    strat0 = dict(s0)
+    strat0.update(escape_strat)
+    strat0.update(t0)
+    return r0 | escape, set(r1), strat0, t1
 
 
 def full_alphabet_mc_witness(ts, phi, beta):

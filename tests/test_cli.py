@@ -1,11 +1,15 @@
 """Command-line interface: output contract and exit codes."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+from robusttl import cli
 from robusttl.cli import main
+from robusttl.gen import make_rng, random_labeled_game
+from robusttl.omega import NotWeakError
 
 
 def run(argv, capsys):
@@ -361,6 +365,63 @@ def test_synth_unknown_vertex_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "unknown vertex" in err
+
+
+def test_synth_output_independent_of_hash_seed(tmp_path):
+    graph = random_labeled_game(make_rng(4), 8, ("p", "q", "s"))
+    lines = [
+        f"v {v} {graph.owner[v]} {{ {', '.join(sorted(graph.labels[v]))} }}"
+        for v in graph.vertices
+    ]
+    lines += [f"e {v} {w}" for v in graph.vertices for w in graph.edges[v]]
+    path = tmp_path / "game.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        texts = []
+        for logic, formula in (
+            ("rldl", "[tt*] (p -> <tt*> q)"),
+            ("rpromptltl", "G Fp s"),
+        ):
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "robusttl.cli",
+                    "synth",
+                    "--game",
+                    str(path),
+                    "--logic",
+                    logic,
+                    "--formula",
+                    formula,
+                    "--beta",
+                    "0011",
+                    "--vertex",
+                    "v0",
+                ],
+                capture_output=True,
+                text=True,
+                check=True,
+                env=env,
+            )
+            assert proc.stdout.startswith("winner: 0")
+            texts.append(proc.stdout)
+        outputs.append(texts)
+    assert outputs[0] == outputs[1]
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(*_args, **_kwargs):
+        raise NotWeakError("dealternation requires a weak alternating automaton")
+
+    monkeypatch.setattr(cli, "rldl_to_dpa", broken)
+    code, out, err = run(["compile", "--formula", "[tt*] p", "--beta", "1111"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: NotWeakError:")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Parity-game solving, arena reductions, and strategy extraction."""
 
 import pytest
-from _oracles import brute_force_winner, every_cycle_even
+from _oracles import brute_force_winner, every_cycle_even, reference_solve_parity
 
 from robusttl.formulas import LogicId, LogicViolationError
 from robusttl.games import (
@@ -106,6 +106,69 @@ def test_winning_strategies_close_regions_and_fix_cycle_parity(seed):
         assert every_cycle_even(edges, shifted, region)
 
 
+def sparse_parity_game(rng, n_vertices: int, max_color: int) -> ParityGame:
+    """Seeded game with out-degree 1..4, so that larger games stay cheap
+    for the cycle-parity check."""
+    vertices = tuple(range(n_vertices))
+    owner = {v: rng.randint(0, 1) for v in vertices}
+    color = {v: rng.randint(0, max_color) for v in vertices}
+    edges = {
+        v: tuple(sorted(rng.sample(vertices, rng.randint(1, min(4, n_vertices)))))
+        for v in vertices
+    }
+    return ParityGame(vertices, owner, edges, color)
+
+
+def check_solution(game: ParityGame, solution) -> None:
+    """Regions partition the game, each is a trap for the opponent under
+    its owner's strategy, and every cycle there has the owner's parity."""
+    win0, win1, strat0, strat1 = solution
+    assert win0 | win1 == set(game.vertices) and not win0 & win1
+    for region, strat, player in ((win0, strat0, 0), (win1, strat1, 1)):
+        edges = {}
+        for v in region:
+            if game.owner[v] == player:
+                assert strat[v] in game.edges[v]
+                edges[v] = (strat[v],)
+            else:
+                edges[v] = game.edges[v]
+            assert all(s in region for s in edges[v])
+        shifted = {v: game.color[v] + player for v in region}
+        assert every_cycle_even(edges, shifted, region)
+
+
+@pytest.mark.parametrize("batch", range(10))
+def test_solver_matches_reference_zielonka(batch):
+    rng = make_rng(batch + 2000)
+    for _ in range(20):
+        game = sparse_parity_game(rng, rng.randint(20, 300), rng.randint(0, 7))
+        solution = solve_parity(game)
+        want0, want1, _, _ = reference_solve_parity(game)
+        assert solution[:2] == (want0, want1)
+        check_solution(game, solution)
+
+
+@pytest.mark.parametrize("kind", ["str", "tuple"])
+def test_solver_regions_independent_of_vertex_names(kind):
+    rng = make_rng(3000 if kind == "str" else 3001)
+    for _ in range(20):
+        game = sparse_parity_game(rng, rng.randint(20, 120), rng.randint(0, 7))
+        name = {v: f"v{v}" if kind == "str" else ("n", v) for v in game.vertices}
+        order = list(game.vertices)
+        rng.shuffle(order)
+        named = ParityGame(
+            tuple(name[v] for v in order),
+            {name[v]: game.owner[v] for v in order},
+            {name[v]: tuple(name[s] for s in game.edges[v]) for v in order},
+            {name[v]: game.color[v] for v in order},
+        )
+        win0, win1, _, _ = solve_parity(game)
+        solution = solve_parity(named)
+        assert solution[0] == {name[v] for v in win0}
+        assert solution[1] == {name[v] for v in win1}
+        check_solution(named, solution)
+
+
 def test_reduce_game_size_and_colors():
     graph = parse_labeled_game(
         """
@@ -120,12 +183,13 @@ def test_reduce_game_size_and_colors():
     dpa = rldl_to_dpa(phi, B("1111"), ["p"])
     game, back = reduce_game(graph, dpa)
     assert len(game.vertices) <= len(graph.vertices) * len(dpa.states())
+    assert game.vertices == tuple(range(len(back)))
     for v in graph.vertices:
-        assert (v, dpa.initial) in game.vertices
-    for node in game.vertices:
-        assert back[node] == node[0]
-        assert game.color[node] == dpa.color[node[1]]
-        assert game.owner[node] == graph.owner[node[0]]
+        assert (v, dpa.initial) in back
+    for i in game.vertices:
+        v, q = back[i]
+        assert game.color[i] == dpa.color[q]
+        assert game.owner[i] == graph.owner[v]
 
 
 SAFETY = parse("[tt*] p", LogicId.RLDL)
