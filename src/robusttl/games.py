@@ -273,14 +273,31 @@ def _start(graph: LabeledGameGraph, vertex) -> int:
         raise UnknownVertexError(msg) from None
 
 
+def _strategy_reach(game: ParityGame, start: int, strat0: dict) -> list:
+    """The nodes a play from start can visit under player 0's strategy,
+    against every move of player 1, in the order they are reached."""
+    reached = [start]
+    seen = {start}
+    for i in reached:  # grows while it is walked
+        if game.owner[i] == 0:
+            targets = (strat0[i],)
+        else:
+            targets = game.edges[i]
+        for j in targets:
+            if j not in seen:
+                seen.add(j)
+                reached.append(j)
+    return reached
+
+
 def _strategy_from_product(
-    game: ParityGame, back: list, initial, win0, strat0
+    game: ParityGame, back: list, initial, start: int, strat0
 ) -> MealyStrategy:
     """Mealy machine with the automaton state as memory, read off the
-    product nodes in player 0's region."""
+    product nodes the strategy reaches from the start node."""
     update = {}
     choice = {}
-    for i in win0:
+    for i in _strategy_reach(game, start, strat0):
         v, q = back[i]
         # Every successor of (v, q) carries the same next automaton state.
         update[(q, v)] = back[game.edges[i][0]][1]
@@ -309,7 +326,7 @@ def solve_rldl_game(
     game, back = reduce_game(graph, dpa)
     win0, _win1, strat0, _strat1 = solve_parity(game)
     if start in win0:
-        strategy = _strategy_from_product(game, back, dpa.initial, win0, strat0)
+        strategy = _strategy_from_product(game, back, dpa.initial, start, strat0)
         return GameResult(0, strategy)
     return GameResult(1, None)
 
@@ -321,7 +338,7 @@ def _color_game(graph: LabeledGameGraph, dpa, color_prop: str):
     with v's label, projected onto the automaton's other propositions;
     nodes ('move', v, q') pick the successor vertex and belong to v's
     owner.  Returns the game, numbered as in reduce_game from every
-    ('pick', v, initial), its back list and the number of pick nodes.
+    ('pick', v, initial), and its back list.
     """
     keep = frozenset(dpa.props) - {color_prop}
     letters = {}
@@ -333,10 +350,8 @@ def _color_game(graph: LabeledGameGraph, dpa, color_prop: str):
     owner = []
     edges = []
     color = []
-    picks = 0
     for kind, v, q in back:  # grows while it is walked
         if kind == "pick":
-            picks += 1
             succs = [("move", v, dpa.step(q, letter)) for letter in letters[v]]
             owner.append(0)
             color.append(dpa.color[q])
@@ -353,7 +368,7 @@ def _color_game(graph: LabeledGameGraph, dpa, color_prop: str):
             out.append(i)
         edges.append(tuple(out))
     del index
-    return ParityGame.numbered(owner, edges, color), back, picks
+    return ParityGame.numbered(owner, edges, color), back
 
 
 def solve_prompt_game(
@@ -367,7 +382,11 @@ def solve_prompt_game(
     fresh color changes twice, colors changing infinitely often) is
     compiled to a deterministic parity automaton; player 0 picks the color
     bit each step.  Player 0 wins the original game iff it wins the
-    recolored parity game, with a bound of twice the product size.  The
+    recolored parity game.  The strategy and the bound are read off the
+    product nodes the winning strategy reaches from the start: the bound
+    is 2 * (picks + 1) for the number of reached pick nodes.  A pick node
+    cannot repeat between two color changes, or the adversary could
+    repeat that cycle forever and the color would stop changing.  The
     automaton is built over the formula's own propositions and the color;
     arena labels are projected onto the former.
     """
@@ -382,14 +401,13 @@ def solve_prompt_game(
     relaxed = ltl_surface_to_ldl(relax_prompt(psi, color_prop))
     objective = And(relaxed, _changes_infinitely(color_prop))
     dpa = ldl_to_dpa(objective, sorted([*props, color_prop]))
-    game, back, picks = _color_game(graph, dpa, color_prop)
+    game, back = _color_game(graph, dpa, color_prop)
     win0, _win1, strat0, _ = solve_parity(game)
     if start not in win0:
         return GameResult(1, None)
-    bound = 2 * (picks + 1)
     update = {}
     choice = {}
-    for i in win0:
+    for i in _strategy_reach(game, start, strat0):
         kind, v, q = back[i]
         if kind != "pick":
             continue
@@ -398,6 +416,7 @@ def solve_prompt_game(
         succ = strat0.get(move)
         if succ is not None:
             choice[(q, v)] = back[succ][1]
+    bound = 2 * (len(update) + 1)
     strategy = MealyStrategy(dpa.initial, update, choice)
     return GameResult(0, strategy, bound)
 

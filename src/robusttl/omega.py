@@ -10,10 +10,13 @@ slice that keeps only the subset-minimal pairs, an antichain in the sense
 of De Wulf, Doyen, Henzinger and Raskin: a pair containing another
 accepts a subset of its language, so it adds nothing.
 
-Determinization follows the compact-tree construction that produces
-parity indices directly from tree events, and ends with a
-color-respecting Moore quotient that merges states no run can tell
-apart by its colors.
+Before determinization the NBA is reduced by direct simulation (Etessami
+and Holzmann; Somenzi and Bloem): mutually similar states are merged and
+successors that a sibling strictly simulates are dropped.  A reduced NBA
+that is deterministic becomes a parity automaton as it stands; any other
+goes through the compact-tree construction that produces parity indices
+directly from tree events.  Both end with a color-respecting Moore
+quotient that merges states no run can tell apart by its colors.
 """
 from __future__ import annotations
 
@@ -364,6 +367,134 @@ def nba_intersection(b1: NBA, b2: NBA) -> NBA:
     )
 
 
+# -- simulation reduction --------------------------------------------------
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def direct_simulation(nba: NBA) -> list[int]:
+    """The direct-simulation preorder: bit q of the p-th mask is set iff
+    q simulates p.
+
+    q simulates p iff q accepts whenever p does and every a-successor of
+    p is simulated by some a-successor of q.  The greatest such relation
+    is refined from the acceptance condition by a worklist: a state is
+    re-checked only when the simulator set of one of its successors has
+    shrunk.  A state's allowed simulators are those with, for each of its
+    successors s on letter a, an a-successor among s's simulators; that
+    set is the union of the a-predecessor masks of s's simulators,
+    cached per letter and simulator set, which many states share.
+    """
+    letters = all_letters(nba.props)
+    n = nba.n_states
+    everyone = (1 << n) - 1
+    succ = [
+        [nba.transitions.get((q, letter), ()) for letter in letters]
+        for q in range(n)
+    ]
+    pred = [[0] * n for _ in letters]
+    pred_any = [0] * n
+    for q, rows in enumerate(succ):
+        for a, targets in enumerate(rows):
+            for s in targets:
+                pred[a][s] |= 1 << q
+                pred_any[s] |= 1 << q
+    enabled = [
+        sum(1 << q for q in range(n) if succ[q][a]) for a in range(len(letters))
+    ]
+    accepting = sum(1 << q for q in nba.accepting)
+    sim = []
+    for q in range(n):
+        mask = accepting if q in nba.accepting else everyone
+        for a, targets in enumerate(succ[q]):
+            if targets:
+                mask &= enabled[a]
+        sim.append(mask)
+    # (a, simulators of s) -> states with an a-successor among them
+    cover: dict = {}
+    queued = bytearray(b"\x01") * n
+    # Successors tend to be numbered after their predecessors; taking
+    # them first saves re-checks.
+    work = deque(range(n - 1, -1, -1))
+    while work:
+        p = work.popleft()
+        queued[p] = 0
+        mask = sim[p]
+        for a, targets in enumerate(succ[p]):
+            for s in targets:
+                key = (a, sim[s])
+                allowed = cover.get(key)
+                if allowed is None:
+                    allowed = 0
+                    pa = pred[a]
+                    rest = sim[s]
+                    while rest:
+                        low = rest & -rest
+                        allowed |= pa[low.bit_length() - 1]
+                        rest ^= low
+                    cover[key] = allowed
+                mask &= allowed
+        if mask != sim[p]:
+            sim[p] = mask
+            for r in _bits(pred_any[p]):
+                if not queued[r]:
+                    queued[r] = 1
+                    work.append(r)
+    return sim
+
+
+def nba_simulation_reduce(nba: NBA) -> NBA:
+    """Quotient by direct-simulation equivalence, without little brothers.
+
+    States that simulate each other are merged into their smallest
+    member.  On each letter, a successor class is dropped when another
+    successor class strictly simulates it.  Both steps keep the language
+    (Etessami and Holzmann, CONCUR 2000; Somenzi and Bloem, CAV 2000).
+    The result keeps the part reachable from the initial class, numbered
+    breadth-first with letters in alphabet order, and has a (possibly
+    empty) successor tuple for every state and letter.
+    """
+    letters = all_letters(nba.props)
+    sim = direct_simulation(nba)
+    n = nba.n_states
+    rep = [-1] * n
+    equal = [0] * n  # the class of each representative, as a mask
+    for p in range(n):
+        if rep[p] < 0:
+            members = 0
+            for q in _bits(sim[p]):
+                if sim[q] >> p & 1:
+                    members |= 1 << q
+                    rep[q] = p
+            equal[p] = members
+    index = {rep[nba.initial]: 0}
+    order = [rep[nba.initial]]
+    transitions: dict = {}
+    for i, r in enumerate(order):  # grows while it is walked
+        for letter in letters:
+            tops = 0
+            for s in nba.transitions.get((r, letter), ()):
+                tops |= 1 << rep[s]
+            kept = []
+            for c in _bits(tops):
+                if sim[c] & tops & ~equal[c]:
+                    continue
+                j = index.get(c)
+                if j is None:
+                    j = index[c] = len(order)
+                    order.append(c)
+                kept.append(j)
+            transitions[(i, letter)] = tuple(sorted(kept))
+    accepting = frozenset(i for i, r in enumerate(order) if r in nba.accepting)
+    return NBA(nba.props, len(order), 0, transitions, accepting)
+
+
 # -- determinization -------------------------------------------------------
 
 
@@ -457,17 +588,24 @@ def _tree_step(tree, label_sets, letter, transitions, acc, n_bound):
 
 
 def nba_to_dpa(nba: NBA) -> DPA:
-    """Determinize to a max-parity automaton via compact trees.
+    """Determinize to a max-parity automaton.
 
-    Tree events give min-parity priorities on transitions; the result is
-    converted to state-based max-parity by pairing each tree with the
-    priority of its incoming transition.  The automaton is then reduced
-    by ``dpa_quotient``, which is what keeps it small: the pairs of tree
-    and priority often repeat one state's behaviour many times over, and
-    the smaller NBAs of the pruned dealternation do not by themselves
-    give smaller DPAs.  Colors are compressed last.
+    The NBA is first reduced by ``nba_simulation_reduce``.  When the
+    reduced automaton has at most one successor per state and letter, it
+    is read as a parity automaton directly: accepting states get color 2,
+    the others 1, and missing letters go to a rejecting sink.  Otherwise
+    it goes through compact trees: tree events give min-parity priorities
+    on transitions, converted to state-based max-parity by pairing each
+    tree with the priority of its incoming transition.  Merged and
+    pruned NBA states leave the trees fewer labels to tell apart, which
+    usually, though not always, gives a smaller DPA.  Either way the automaton is reduced by ``dpa_quotient``,
+    which merges the pairs of tree and priority that repeat one state's
+    behaviour, and its colors are compressed last.
     """
+    nba = nba_simulation_reduce(nba)
     letters = all_letters(nba.props)
+    if all(len(succs) <= 1 for succs in nba.transitions.values()):
+        return _dba_to_dpa(nba, letters)
     n_bound = max(nba.n_states, 1)
     init_tree = ((1, None),)
     init_labels = {1: frozenset((nba.initial,))}
@@ -530,6 +668,24 @@ def nba_to_dpa(nba: NBA) -> DPA:
     return normalize_colors(
         dpa_quotient(DPA(nba.props, len(order), initial, delta, color))
     )
+
+
+def _dba_to_dpa(nba: NBA, letters) -> DPA:
+    """A deterministic Buechi automaton as a max-parity automaton; a
+    letter without a successor leads to a rejecting sink."""
+    sink = nba.n_states
+    delta: dict = {}
+    for q in range(nba.n_states):
+        for letter in letters:
+            succs = nba.transitions[(q, letter)]
+            delta[(q, letter)] = succs[0] if succs else sink
+    color = [2 if q in nba.accepting else 1 for q in range(nba.n_states)]
+    if sink in delta.values():
+        for letter in letters:
+            delta[(sink, letter)] = sink
+        color.append(1)
+    dpa = DPA(nba.props, len(color), nba.initial, delta, tuple(color))
+    return normalize_colors(dpa_quotient(dpa))
 
 
 def dpa_quotient(d: DPA) -> DPA:

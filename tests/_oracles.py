@@ -13,6 +13,11 @@ reference_solve_parity is the plain recursive Zielonka solver over
 Python sets, with an attractor that rebuilds predecessor lists and
 out-degrees over its whole region on every call.
 
+reference_direct_simulation is the direct-simulation preorder by the
+textbook fixpoint over pairs of states: start from every pair that
+respects acceptance and delete a pair whenever some successor of the
+simulated state has no simulating successor, until nothing changes.
+
 full_alphabet_mc_witness is the model check over the union of the
 formula's and the system's propositions: the system as a Buechi
 automaton, intersected over the full product state space with the
@@ -225,6 +230,36 @@ def _reference_zielonka(game, region: set):
     strat0.update(escape_strat)
     strat0.update(t0)
     return r0 | escape, set(r1), strat0, t1
+
+
+def reference_direct_simulation(nba) -> set:
+    """The pairs (p, q) such that q directly simulates p."""
+    from robusttl.guards import all_letters
+
+    letters = all_letters(nba.props)
+    states = range(nba.n_states)
+
+    def succ(q, letter):
+        return nba.transitions.get((q, letter), ())
+
+    rel = {
+        (p, q)
+        for p in states
+        for q in states
+        if p not in nba.accepting or q in nba.accepting
+    }
+    changed = True
+    while changed:
+        changed = False
+        for p, q in sorted(rel):
+            if any(
+                not any((p2, q2) in rel for q2 in succ(q, letter))
+                for letter in letters
+                for p2 in succ(p, letter)
+            ):
+                rel.discard((p, q))
+                changed = True
+    return rel
 
 
 def full_alphabet_mc_witness(ts, phi, beta):

@@ -449,3 +449,44 @@ def test_prompt_games_project_extra_arena_labels(seed):
         for adversary in adversaries(graph, rng, 4):
             trace = play_lasso(graph, result.strategy, vertex, adversary)
             assert eval_prompt_ltl(trace, result.bound, psi)
+
+
+def strategy_reach(graph: LabeledGameGraph, strategy: MealyStrategy, vertex) -> set:
+    """(memory, vertex) pairs a play from vertex can visit under the
+    strategy, against every move of player 1."""
+    start = (strategy.initial_memory, vertex)
+    seen = {start}
+    work = [start]
+    while work:
+        m, v = work.pop()
+        targets = (strategy.choice[(m, v)],) if graph.owner[v] == 0 else graph.edges[v]
+        for v2 in targets:
+            node = (strategy.update[(m, v)], v2)
+            if node not in seen:
+                seen.add(node)
+                work.append(node)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_strategies_hold_only_reachable_entries(seed):
+    # Every printed Mealy entry is reached from the start under the
+    # strategy, and every reached pair has an entry.
+    rng = make_rng(seed + 900)
+    graph = random_labeled_game(rng, rng.randint(2, 6), ("p", "s"))
+    vertex = graph.vertices[0]
+    results = [
+        solve_rldl_game(graph, parse(text, LogicId.RLDL), B(beta), vertex)
+        for text in ("[tt*] <tt*> p", "<tt*> [tt*] s", "[tt*] (p -> <tt*> s)")
+        for beta in ("0011", "1111")
+    ]
+    results.append(solve_prompt_game(graph, parse("G Fp s", LogicId.PROMPT_LTL), vertex))
+    for result in results:
+        if result.winner != 0:
+            continue
+        strategy = result.strategy
+        assert strategy_reach(graph, strategy, vertex) == set(strategy.update)
+        zero = {(m, v) for m, v in strategy.update if graph.owner[v] == 0}
+        assert set(strategy.choice) == zero
+        if result.bound is not None:
+            assert result.bound == 2 * (len(strategy.update) + 1)

@@ -20,7 +20,7 @@ from robusttl.modelcheck import (
 )
 from robusttl.omega import nba_accepts_lasso
 from robusttl.parser import parse
-from robusttl.semantics import eval_prompt_ltl, eval_rldl, eval_rprompt_ltl
+from robusttl.semantics import eval_prompt_ltl, eval_rldl, eval_rprompt_ltl, evaluate
 from robusttl.traces import LassoTrace, parse_trace
 from robusttl.truth import ALL_VALUES, BOTTOM, POSITIVE_VALUES, from_string
 
@@ -313,3 +313,27 @@ def test_mc_automata_are_built_over_the_formula_props(monkeypatch):
         mc_rldl(ts, phi, from_string("0011"))
     assert [props for props, _ in built] == [("p", "q")] * 5
     assert len({n for _, n in built}) == 1
+
+
+def test_fragment_sync_bounds_are_tight_enough():
+    # The prompt bound counts only the pick nodes the winning strategy
+    # reaches; each bound it prints must still hold on every lasso.
+    ts = parse_transition_system(
+        """
+        state a init { }
+        state b { s }
+        edge a b
+        edge b a
+        """
+    )
+    phi = parse("[(tt;tt)*] <p tt*> s", LogicId.RPROMPT_LDL)
+    lassos = [
+        parse_trace(text)
+        for text in ("; {} {s}", "{} ; {s} {}", "; {} {s} {} {s}", "{} {s} ; {} {s}")
+    ]
+    for beta, ceiling in zip(POSITIVE_VALUES, (22, 22, 18, 14)):
+        result = mc_fragment(ts, phi, beta)
+        assert result.holds
+        assert result.bound <= ceiling, (beta, result.bound)
+        for w in lassos:
+            assert evaluate(w, phi, LogicId.RPROMPT_LDL, result.bound) >= beta

@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from _oracles import unpruned_apa_to_nba
+from _oracles import reference_direct_simulation, unpruned_apa_to_nba
 
 from robusttl.apa import APA, PBAnd, PBVar, apa_complement, from_rldl, pb_and, pb_or
 from robusttl.formulas import LogicId
@@ -17,11 +17,13 @@ from robusttl.omega import (
     apa_to_nba,
     dpa_accepts_lasso,
     dpa_complement,
+    direct_simulation,
     dpa_quotient,
     ldl_to_dpa,
     nba_accepts_lasso,
     nba_emptiness,
     nba_intersection,
+    nba_simulation_reduce,
     nba_to_dpa,
     rldl_to_dpa,
     rldl_to_nba,
@@ -278,3 +280,91 @@ def test_compile_hoa_independent_of_hash_seed():
             texts.append(proc.stdout)
         outputs.append(texts)
     assert outputs[0] == outputs[1]
+
+
+def random_nba(rng, n_states: int) -> NBA:
+    transitions = {}
+    for q in range(n_states):
+        for a in all_letters(PQ):
+            k = rng.choice((0, 1, 1, 2, 2, 3))
+            transitions[(q, a)] = tuple(sorted(rng.sample(range(n_states), min(k, n_states))))
+    accepting = frozenset(q for q in range(n_states) if rng.random() < 0.4)
+    return NBA(PQ, n_states, rng.randrange(n_states), transitions, accepting)
+
+
+def check_simulation_reduce(nba, lassos, context):
+    sim = direct_simulation(nba)
+    got = {
+        (p, q)
+        for p in range(nba.n_states)
+        for q in range(nba.n_states)
+        if sim[p] >> q & 1
+    }
+    assert got == reference_direct_simulation(nba), context
+    small = nba_simulation_reduce(nba)
+    assert small.n_states <= nba.n_states, context
+    for w in lassos:
+        assert nba_accepts_lasso(small, w) == nba_accepts_lasso(nba, w), (context, w)
+
+
+def test_simulation_matches_reference_on_random_nbas():
+    # 200 random NBAs with 1-12 states, some without successors on some
+    # letters: the preorder equals the pairwise fixpoint, and the reduced
+    # automaton is no larger and accepts the same lassos.
+    rng = make_rng(606)
+    for i in range(200):
+        nba = random_nba(rng, rng.randint(1, 12))
+        lassos = [random_lasso(rng, PQ) for _ in range(12)]
+        check_simulation_reduce(nba, lassos, i)
+
+
+def test_simulation_reduce_on_formula_nbas():
+    # Criterion-3-style formulas and their complements, every threshold.
+    rng = make_rng(404)
+    for _ in range(40):
+        phi = random_formula(rng, LogicId.RLDL, rng.randint(1, 8), PQ)
+        lassos = [random_lasso(rng, PQ) for _ in range(6)]
+        for beta in ALL_VALUES:
+            base = from_rldl(phi, beta, PQ)
+            for apa in (base, apa_complement(base)):
+                check_simulation_reduce(apa_to_nba(apa), lassos, (phi, beta))
+
+
+def test_recurrence_dpa_is_small():
+    # [tt*] <tt*> p is "infinitely often p" at 0011 and 0111.
+    for beta in ("0011", "0111"):
+        dpa = rldl_to_dpa(parse("[tt*] <tt*> p"), from_string(beta), PQ)
+        assert dpa.n_states <= 27, beta
+
+
+def test_response_dpa_is_small_at_0001():
+    phi = parse("[tt*] (p -> <tt*> q)")
+    dpa = rldl_to_dpa(phi, from_string("0001"), PQ)
+    assert dpa.n_states <= 3
+    nba = rldl_to_nba(phi, from_string("0001"), PQ)
+    rng = make_rng(17)
+    for _ in range(40):
+        w = random_lasso(rng, PQ)
+        assert dpa_accepts_lasso(dpa, w) == nba_accepts_lasso(nba, w), w
+
+
+def test_deterministic_nba_with_missing_letter_gets_rejecting_sink():
+    # p forever, with a visit to the accepting state 1 on every {p, q}:
+    # a letter without p has no successor at all.
+    pq, p_only = letter("p", "q"), letter("p")
+    transitions = {(q, a): () for q in range(2) for a in all_letters(PQ)}
+    for q in range(2):
+        transitions[(q, pq)] = (1,)
+        transitions[(q, p_only)] = (0,)
+    nba = NBA(PQ, 2, 0, transitions, frozenset({1}))
+    assert nba_simulation_reduce(nba).n_states == 2
+    dpa = nba_to_dpa(nba)
+    assert len(dpa.delta) == dpa.n_states * 4
+    for text in ("; {p,q}", "; {p} {p,q}", "; {p}", "{p,q} ; {p}", "{p,q} {} ; {p,q}",
+                 "; {p,q} {q}", "{p} ; {p,q} {p}"):
+        w = parse_trace(text)
+        assert dpa_accepts_lasso(dpa, w) == nba_accepts_lasso(nba, w), text
+    rng = make_rng(23)
+    for _ in range(40):
+        w = random_lasso(rng, PQ)
+        assert dpa_accepts_lasso(dpa, w) == nba_accepts_lasso(nba, w), w
