@@ -6,6 +6,14 @@ a run.  The compiler from five-valued dynamic-logic formulas builds, for
 each threshold, an automaton recognizing the traces whose value is at
 least that threshold.  All compiled automata are weak: every strongly
 connected component of the state graph carries a single color.
+
+The compiler works on demand (the on-the-fly principle of Gerth, Peled,
+Vardi and Wolper): a breadth-first walk from the initial state asks for
+the transitions of the states it reaches, and only those are computed.
+Apart from the initial state, a state is a key naming a guard-automaton
+state of a guard block, and the complement of a state is the key's
+dual, so no state is copied and none is built that the walk does not
+reach.
 """
 from __future__ import annotations
 
@@ -21,6 +29,7 @@ from .formulas import (
     Ff,
     Formula,
     Guard,
+    HashOnce,
     Implies,
     LogicId,
     NegAtom,
@@ -31,9 +40,10 @@ from .formulas import (
     propositions,
     require_logic,
 )
+from .graphs import sccs
 from .guards import all_letters, prop_holds, simple_eps_closure, thompson
 from .traces import LassoTrace
-from .truth import ALL_VALUES, BOTTOM, TOP, TruthValue4
+from .truth import ALL_VALUES, BOTTOM, TOP, V0001, V0011, V0111, TruthValue4
 
 
 Colored = TypeVar("Colored")
@@ -47,7 +57,7 @@ class AlphabetMismatchError(ValueError):
     """Raised when combined automata disagree on propositions."""
 
 
-class PositiveBool:
+class PositiveBool(HashOnce):
     """Positive Boolean formula over automaton states."""
 
     __slots__ = ()
@@ -55,12 +65,12 @@ class PositiveBool:
 
 @dataclass(frozen=True)
 class PBTrue(PositiveBool):
-    __slots__ = ()
+    pass
 
 
 @dataclass(frozen=True)
 class PBFalse(PositiveBool):
-    __slots__ = ()
+    pass
 
 
 @dataclass(frozen=True)
@@ -339,355 +349,250 @@ def apa_accepts_lasso(a: APA, trace: LassoTrace) -> bool:
     # of a state node is canonical, so the game is finite.
 
 
+# Kinds of state keys and their colors.  A guard block over (guard, arg,
+# degree, refuted) has one state per guard-automaton state: "ex" (some
+# match satisfies arg), "all" (every match does), and for "infinitely
+# many matches" a "main" copy that follows one run forever plus a
+# "check" copy, spawned at every step, that must finish a match.  A
+# "formula" state is only ever the initial state of a compiled formula.
+# The key ("dual", k) is the complement of k, one color higher.
+_KIND_COLOR = {"formula": 0, "ex": 1, "all": 0, "main": 0, "check": 1}
+
+# The box [g] a at a threshold with highest set bit i is the disjunction
+# of the rows with bit index at most i.  A row gives a degree and a
+# disjunction of conjunctions of block initial states, each written
+# (kind, arg is tt, refuted, dual).
+_BOX_ROWS = (
+    # Every match satisfies a.
+    (1, TOP, ((("all", False, False, False),),)),
+    # Almost all matches satisfy a: infinitely many satisfy and finitely
+    # many violate, or finitely many matches exist and all satisfy.
+    (2, V0111, (
+        (("main", False, False, False), ("main", False, True, True)),
+        (("main", True, False, True), ("all", False, False, False)),
+    )),
+    # Infinitely many matches satisfy a, or finitely many matches exist
+    # and one satisfies, or no match exists.
+    (3, V0011, (
+        (("main", False, False, False),),
+        (("main", True, False, True), ("ex", False, False, False)),
+        (("ex", True, False, True),),
+    )),
+    # Some match satisfies a, or no match exists.
+    (4, V0001, ((("ex", False, False, False),), (("ex", True, False, True),))),
+)
+
+_TT = Tt()
+
+
+def _dual(key: tuple) -> tuple:
+    return key[1] if key[0] == "dual" else ("dual", key)
+
+
 class _Builder:
-    """Shared-state compiler from formulas at thresholds to one pool."""
+    """On-demand compiler of one formula over one alphabet.
+
+    States are keys (see _KIND_COLOR), numbered provisionally in the order
+    they are first mentioned.  A transition is computed when asked for,
+    once per (state, letter); the transition of a formula is computed
+    once per (formula, threshold, letter, dual) and inlined wherever the
+    formula occurs.  Conjunctions and disjunctions take their parts from
+    generators, so the parts after a deciding one are never built.
+    """
 
     def __init__(self, props: tuple[str, ...]):
-        self.props = props
         self.letters = all_letters(props)
-        self.colors: list[int] = []
-        self.delta: dict = {}
-        self.cache: dict = {}
-        self.dual_map: dict[int, int] = {}
+        self.keys: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.duals: dict[int, int] = {}
+        self.deltas: dict[tuple[int, int], PositiveBool] = {}
+        self.formula_deltas: dict = {}
+        self.guards: dict = {}
 
-    def new_state(self, color: int) -> int:
-        q = len(self.colors)
-        self.colors.append(color)
-        return q
+    def id_of(self, key: tuple) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+        return i
 
-    def set_delta(self, q: int, letter: frozenset, pb: PositiveBool) -> None:
-        self.delta[(q, letter)] = pb
+    def dual_id(self, i: int) -> int:
+        d = self.duals.get(i)
+        if d is None:
+            d = self.id_of(_dual(self.keys[i]))
+            self.duals[i] = d
+            self.duals[d] = i
+        return d
 
-    def init_delta(self, phi: Formula, beta: TruthValue4, letter) -> PositiveBool:
-        return self.delta[(self.automaton(phi, beta), letter)]
+    def color(self, i: int) -> int:
+        key = self.keys[i]
+        if key[0] == "dual":
+            return _KIND_COLOR[key[1][0]] + 1
+        return _KIND_COLOR[key[0]]
 
-    def dual_init_delta(self, phi: Formula, beta: TruthValue4, letter) -> PositiveBool:
-        return self.delta[(self.dual_of(self.automaton(phi, beta)), letter)]
+    def root(self, phi: Formula, beta: TruthValue4) -> tuple:
+        """Key of the initial state of phi at beta."""
+        if beta != BOTTOM:
+            if isinstance(phi, Not):
+                return _dual(self.root(phi.arg, TOP))
+            if isinstance(phi, Diamond):
+                initial = self.guard(phi.guard)[0]
+                return ("ex", phi.guard, phi.arg, beta, False, initial)
+        return ("formula", phi, beta)
 
-    def dual_of(self, q: int) -> int:
-        """State recognizing the complement language from q (lazy copy)."""
-        if q in self.dual_map:
-            return self.dual_map[q]
-        pending = [q]
-        allocated = []
-        while pending:
-            s = pending.pop()
-            if s in self.dual_map:
-                continue
-            # Dualizing is an involution; record both directions so that
-            # the dual of a dual resolves to the original state instead of
-            # copying the reachable part again at every nesting level.
-            fresh = self.new_state(self.colors[s] + 1)
-            self.dual_map[s] = fresh
-            self.dual_map[fresh] = s
-            allocated.append(s)
-            for letter in self.letters:
-                for t in pb_states(self.delta[(s, letter)]):
-                    if t not in self.dual_map:
-                        pending.append(t)
-        for s in allocated:
-            for letter in self.letters:
-                pb = pb_dual(self.delta[(s, letter)], self.dual_map.__getitem__)
-                self.set_delta(self.dual_map[s], letter, pb)
-        return self.dual_map[q]
+    def guard(self, guard: Guard):
+        """The guard automaton's initial state and its steps.
 
-    # -- formula cases -------------------------------------------------
+        ``steps[q][li]`` lists, for the epsilon paths from q followed by
+        letter li, pairs (target, tests): the state after the letter, or
+        None where the path ends the match before the letter, with the
+        path's tests sorted by their printed form.
+        """
+        info = self.guards.get(guard)
+        if info is None:
+            nfa = thompson(guard)
+            steps = []
+            for q in range(nfa.n_states):
+                paths = [
+                    (q2, tuple(sorted(tests, key=format_formula)))
+                    for q2, tests in simple_eps_closure(nfa, q)
+                ]
+                per_letter = []
+                for letter in self.letters:
+                    out = []
+                    for q2, tests in paths:
+                        if q2 in nfa.finals:
+                            out.append((None, tests))
+                        out.extend(
+                            (q3, tests)
+                            for f, q3 in nfa.letters[q2]
+                            if prop_holds(letter, f)
+                        )
+                    per_letter.append(out)
+                steps.append(per_letter)
+            info = self.guards[guard] = (nfa.initial, steps)
+        return info
 
-    def automaton(self, phi: Formula, beta: TruthValue4) -> int:
-        key = (phi, beta)
-        if key in self.cache:
-            return self.cache[key]
-        q = self._build(phi, beta)
-        self.cache[key] = q
-        return q
+    # -- transitions -----------------------------------------------------
 
-    def _accept(self) -> int:
-        if ("acc",) in self.cache:
-            return self.cache[("acc",)]
-        q = self.new_state(0)
-        for letter in self.letters:
-            self.set_delta(q, letter, PB_TRUE)
-        self.cache[("acc",)] = q
-        return q
+    def delta(self, i: int, li: int) -> PositiveBool:
+        """Transition of provisional state i at letter index li."""
+        pb = self.deltas.get((i, li))
+        if pb is None:
+            key = self.keys[i]
+            kind = key[0]
+            if kind == "dual":
+                pb = pb_dual(self.delta(self.dual_id(i), li), self.dual_id)
+            elif kind == "formula":
+                pb = self.formula_delta(key[1], key[2], li)
+            else:
+                pb = self._block_delta(key, li)
+            self.deltas[(i, li)] = pb
+        return pb
 
-    def _reject(self) -> int:
-        if ("rej",) in self.cache:
-            return self.cache[("rej",)]
-        q = self.new_state(0)
-        for letter in self.letters:
-            self.set_delta(q, letter, PB_FALSE)
-        self.cache[("rej",)] = q
-        return q
+    def formula_delta(
+        self, phi: Formula, beta: TruthValue4, li: int, dual: bool = False
+    ) -> PositiveBool:
+        """Transition of phi at beta (of its complement when dual)."""
+        memo = (phi, beta, li, dual)
+        pb = self.formula_deltas.get(memo)
+        if pb is None:
+            if dual:
+                pb = pb_dual(self.formula_delta(phi, beta, li), self.dual_id)
+            else:
+                pb = self._formula_delta(phi, beta, li)
+            self.formula_deltas[memo] = pb
+        return pb
 
-    def _build(self, phi: Formula, beta: TruthValue4) -> int:
+    def _formula_delta(self, phi: Formula, beta: TruthValue4, li: int) -> PositiveBool:
         if beta == BOTTOM or isinstance(phi, Tt):
-            return self._accept()
+            return PB_TRUE
         if isinstance(phi, Ff):
-            return self._reject()
-        if isinstance(phi, Atom):
-            return self._atom(phi.name, False)
-        if isinstance(phi, NegAtom):
-            return self._atom(phi.name, True)
+            return PB_FALSE
+        if isinstance(phi, (Atom, NegAtom)):
+            holds = (phi.name in self.letters[li]) != isinstance(phi, NegAtom)
+            return PB_TRUE if holds else PB_FALSE
         if isinstance(phi, Not):
-            return self.dual_of(self.automaton(phi.arg, TOP))
+            return self.formula_delta(phi.arg, TOP, li, dual=True)
         if isinstance(phi, (And, Or)):
             smash = pb_and if isinstance(phi, And) else pb_or
-            q = self.new_state(0)
-            for letter in self.letters:
-                pb = smash(
-                    [
-                        self.init_delta(phi.left, beta, letter),
-                        self.init_delta(phi.right, beta, letter),
-                    ]
-                )
-                self.set_delta(q, letter, pb)
-            return q
+            return smash(self.formula_delta(f, beta, li) for f in (phi.left, phi.right))
         if isinstance(phi, Implies):
-            return self._implies(phi, beta)
+            return pb_or(self._implies(phi.left, phi.right, beta, li))
         if isinstance(phi, Diamond):
-            return self._guard_exists(phi.guard, phi.arg, beta)
+            return self._initial_delta("ex", phi.guard, phi.arg, beta, False, li)
         if isinstance(phi, Box):
-            return self._box(phi, beta)
+            return pb_or(self._box(phi.guard, phi.arg, beta, li))
         msg = f"cannot compile {format_formula(phi)}"
         raise ValueError(msg)
 
-    def _atom(self, name: str, negated: bool) -> int:
-        key = ("atom", name, negated)
-        if key in self.cache:
-            return self.cache[key]
-        q = self.new_state(0)
-        for letter in self.letters:
-            holds = (name in letter) != negated
-            self.set_delta(q, letter, PB_TRUE if holds else PB_FALSE)
-        self.cache[key] = q
-        return q
-
-    def _implies(self, phi: Implies, beta: TruthValue4) -> int:
-        """Value of l -> r is top when V(l) <= V(r), else V(r).
+    def _implies(self, left: Formula, right: Formula, beta: TruthValue4, li: int):
+        """Disjuncts of l -> r: the value is top when V(l) <= V(r), else V(r).
 
         At threshold beta this is: some gamma with V(l) = gamma and
         V(r) >= gamma, or V(r) >= beta.
         """
-        left, right = phi.left, phi.right
-        q = self.new_state(0)
-        chain = list(ALL_VALUES)
-        for letter in self.letters:
-            disjuncts = []
-            for idx, gamma in enumerate(chain):
-                parts = []
-                if gamma != BOTTOM:
-                    parts.append(self.init_delta(left, gamma, letter))
-                if idx + 1 < len(chain):
-                    above = chain[idx + 1]
-                    parts.append(self.dual_init_delta(left, above, letter))
-                if gamma != BOTTOM:
-                    parts.append(self.init_delta(right, gamma, letter))
-                disjuncts.append(pb_and(parts))
-            disjuncts.append(self.init_delta(right, beta, letter))
-            self.set_delta(q, letter, pb_or(disjuncts))
-        return q
 
-    # -- guard blocks ----------------------------------------------------
+        def same_level(idx: int, gamma: TruthValue4):
+            if gamma != BOTTOM:
+                yield self.formula_delta(left, gamma, li)
+            if idx + 1 < len(ALL_VALUES):
+                yield self.formula_delta(left, ALL_VALUES[idx + 1], li, dual=True)
+            if gamma != BOTTOM:
+                yield self.formula_delta(right, gamma, li)
 
-    def _closure_entries(self, nfa, closure, letter):
-        """(jump?, target, test set) triples for a state reading letter.
+        for idx, gamma in enumerate(ALL_VALUES):
+            yield pb_and(same_level(idx, gamma))
+        yield self.formula_delta(right, beta, li)
 
-        ``closure`` is the state's epsilon closure, which does not depend
-        on the letter.
+    def _box(self, guard: Guard, arg: Formula, beta: TruthValue4, li: int):
+        """Disjuncts of [guard] arg at beta, one per row of _BOX_ROWS."""
+        for bit, deg, disjuncts in _BOX_ROWS:
+            if bit > beta.bit_index:
+                break
+            for conjuncts in disjuncts:
+                yield pb_and(
+                    self._initial_delta(
+                        kind, guard, _TT if on_tt else arg, deg, refuted, li, dual
+                    )
+                    for kind, on_tt, refuted, dual in conjuncts
+                )
+
+    def _initial_delta(
+        self, kind, guard, arg, deg, refuted, li, dual=False
+    ) -> PositiveBool:
+        i = self.id_of((kind, guard, arg, deg, refuted, self.guard(guard)[0]))
+        return self.delta(self.dual_id(i) if dual else i, li)
+
+    def _block_delta(self, key: tuple, li: int) -> PositiveBool:
+        """Transition of a guard-block state.
+
+        Each epsilon path that reads the letter (or ends the match) gives
+        its tests at the block's degree, then either the state after the
+        letter or, at the end of a match, arg: a conjunction for "ex",
+        "main" and "check" (all joined by a disjunction), and for "all" a
+        disjunction with the tests complemented (joined by a conjunction).
+        "main" moves to both copies and never ends a match; "check" ends
+        with arg complemented when the block is refuted.
         """
-        out = []
-        for q2, tests in closure:
-            if q2 in nfa.finals:
-                out.append((True, None, tests))
-            for formula, q3 in nfa.letters[q2]:
-                if prop_holds(letter, formula):
-                    out.append((False, q3, tests))
-        return out
+        kind, guard, arg, deg, refuted, q = key
+        paths = self.guard(guard)[1][q][li]
 
-    def _test_parts(self, tests, deg, letter, dual: bool):
-        fn = self.dual_init_delta if dual else self.init_delta
-        return [fn(theta, deg, letter) for theta in sorted(tests, key=format_formula)]
+        def parts(target, tests):
+            for theta in tests:
+                yield self.formula_delta(theta, deg, li, dual=kind == "all")
+            if target is None:
+                yield self.formula_delta(arg, deg, li, dual=refuted)
+            else:
+                yield PBVar(self.id_of((kind, guard, arg, deg, refuted, target)))
+                if kind == "main":
+                    yield PBVar(self.id_of(("check", guard, arg, deg, refuted, target)))
 
-    def _guard_exists(self, guard: Guard, arg: Formula, deg: TruthValue4) -> int:
-        """Some match of the guard satisfies arg at deg (finite escape)."""
-        key = ("ex", guard, arg, deg)
-        if key in self.cache:
-            return self.cache[key]
-        nfa = thompson(guard)
-        states = [self.new_state(1) for _ in range(nfa.n_states)]
-        self.cache[key] = states[nfa.initial]
-        for q in range(nfa.n_states):
-            closure = simple_eps_closure(nfa, q)
-            for letter in self.letters:
-                disjuncts = []
-                for jump, q3, tests in self._closure_entries(nfa, closure, letter):
-                    parts = self._test_parts(tests, deg, letter, dual=False)
-                    if jump:
-                        parts.append(self.init_delta(arg, deg, letter))
-                    else:
-                        parts.append(PBVar(states[q3]))
-                    disjuncts.append(pb_and(parts))
-                self.set_delta(states[q], letter, pb_or(disjuncts))
-        return states[nfa.initial]
-
-    def _guard_forall(self, guard: Guard, arg: Formula, deg: TruthValue4) -> int:
-        """Every match of the guard satisfies arg at deg."""
-        key = ("all", guard, arg, deg)
-        if key in self.cache:
-            return self.cache[key]
-        nfa = thompson(guard)
-        states = [self.new_state(0) for _ in range(nfa.n_states)]
-        self.cache[key] = states[nfa.initial]
-        for q in range(nfa.n_states):
-            closure = simple_eps_closure(nfa, q)
-            for letter in self.letters:
-                conjuncts = []
-                for jump, q3, tests in self._closure_entries(nfa, closure, letter):
-                    parts = self._test_parts(tests, deg, letter, dual=True)
-                    if jump:
-                        parts.append(self.init_delta(arg, deg, letter))
-                    else:
-                        parts.append(PBVar(states[q3]))
-                    conjuncts.append(pb_or(parts))
-                self.set_delta(states[q], letter, pb_and(conjuncts))
-        return states[nfa.initial]
-
-    def _guard_inf(
-        self, guard: Guard, arg: Formula, deg: TruthValue4, refuted: bool
-    ) -> int:
-        """Infinitely many matches satisfy (or, refuted, violate) arg.
-
-        A main copy tracks one run forever; at every step a checker copy
-        is spawned at the successor state and must finish a match whose
-        continuation satisfies arg at deg (its dual when refuted).
-        """
-        key = ("inf", guard, arg, deg, refuted)
-        if key in self.cache:
-            return self.cache[key]
-        nfa = thompson(guard)
-        main = [self.new_state(0) for _ in range(nfa.n_states)]
-        check = [self.new_state(1) for _ in range(nfa.n_states)]
-        self.cache[key] = main[nfa.initial]
-        jump_delta = self.dual_init_delta if refuted else self.init_delta
-        for q in range(nfa.n_states):
-            closure = simple_eps_closure(nfa, q)
-            for letter in self.letters:
-                main_parts = []
-                check_parts = []
-                for jump, q3, tests in self._closure_entries(nfa, closure, letter):
-                    tests_pos = self._test_parts(tests, deg, letter, dual=False)
-                    if jump:
-                        check_parts.append(
-                            pb_and([*tests_pos, jump_delta(arg, deg, letter)])
-                        )
-                    else:
-                        main_parts.append(
-                            pb_and(
-                                [
-                                    *tests_pos,
-                                    PBVar(main[q3]),
-                                    PBVar(check[q3]),
-                                ]
-                            )
-                        )
-                        check_parts.append(
-                            pb_and([*tests_pos, PBVar(check[q3])])
-                        )
-                self.set_delta(main[q], letter, pb_or(main_parts))
-                self.set_delta(check[q], letter, pb_or(check_parts))
-        return main[nfa.initial]
-
-    def _box(self, phi: Box, beta: TruthValue4) -> int:
-        """Union of the primed-bit blocks up to the threshold bit."""
-        guard, arg = phi.guard, phi.arg
-        blocks = [self._guard_forall(guard, arg, TOP)]
-        if beta.bit_index >= 2:
-            blocks.append(self._box_liminf(guard, arg))
-        if beta.bit_index >= 3:
-            blocks.append(self._box_limsup(guard, arg))
-        if beta.bit_index >= 4:
-            blocks.append(self._box_fin(guard, arg))
-        q = self.new_state(0)
-        for letter in self.letters:
-            pb = pb_or([self.delta[(b, letter)] for b in blocks])
-            self.set_delta(q, letter, pb)
-        return q
-
-    def _box_liminf(self, guard: Guard, arg: Formula) -> int:
-        """Almost all matches satisfy arg at deg 0111.
-
-        Either infinitely many matches satisfy and only finitely many
-        violate, or there are finitely many matches and all satisfy.
-        """
-        deg = TruthValue4(7)
-        inf_sat = self._guard_inf(guard, arg, deg, refuted=False)
-        inf_unsat = self._guard_inf(guard, arg, deg, refuted=True)
-        fin_matches = self.dual_of(self._guard_inf(guard, Tt(), deg, refuted=False))
-        all_sat = self._guard_forall(guard, arg, deg)
-        q = self.new_state(0)
-        for letter in self.letters:
-            pb = pb_or(
-                [
-                    pb_and(
-                        [
-                            self.delta[(inf_sat, letter)],
-                            self.delta[(self.dual_of(inf_unsat), letter)],
-                        ]
-                    ),
-                    pb_and(
-                        [
-                            self.delta[(fin_matches, letter)],
-                            self.delta[(all_sat, letter)],
-                        ]
-                    ),
-                ]
-            )
-            self.set_delta(q, letter, pb)
-        return q
-
-    def _box_limsup(self, guard: Guard, arg: Formula) -> int:
-        """Infinitely many (or a final cofinite tail of no) matches work.
-
-        Infinitely many satisfying matches, or finitely many matches with
-        at least one satisfying, or no match at all; degree 0011.
-        """
-        deg = TruthValue4(3)
-        inf_sat = self._guard_inf(guard, arg, deg, refuted=False)
-        fin_matches = self.dual_of(self._guard_inf(guard, Tt(), deg, refuted=False))
-        some_sat = self._guard_exists(guard, arg, deg)
-        no_match = self.dual_of(self._guard_exists(guard, Tt(), deg))
-        q = self.new_state(0)
-        for letter in self.letters:
-            pb = pb_or(
-                [
-                    self.delta[(inf_sat, letter)],
-                    pb_and(
-                        [
-                            self.delta[(fin_matches, letter)],
-                            self.delta[(some_sat, letter)],
-                        ]
-                    ),
-                    self.delta[(no_match, letter)],
-                ]
-            )
-            self.set_delta(q, letter, pb)
-        return q
-
-    def _box_fin(self, guard: Guard, arg: Formula) -> int:
-        """Some match satisfies at degree 0001, or no match exists."""
-        deg = TruthValue4(1)
-        some_sat = self._guard_exists(guard, arg, deg)
-        no_match = self.dual_of(self._guard_exists(guard, Tt(), deg))
-        q = self.new_state(0)
-        for letter in self.letters:
-            pb = pb_or(
-                [
-                    self.delta[(some_sat, letter)],
-                    self.delta[(no_match, letter)],
-                ]
-            )
-            self.set_delta(q, letter, pb)
-        return q
+        if kind == "all":
+            return pb_and(pb_or(parts(*path)) for path in paths)
+        if kind == "main":
+            paths = [path for path in paths if path[0] is not None]
+        return pb_or(pb_and(parts(*path)) for path in paths)
 
 
 def from_rldl(
@@ -700,6 +605,11 @@ def from_rldl(
     The automaton accepts exactly the lassos (and, by construction over
     all ultimately periodic words, the omega-words) on which the formula
     evaluates to at least beta.  The result is weak.
+
+    Only states reachable from the initial state are built.  They are
+    numbered breadth-first: the initial state is 0, and the states of each
+    transition, letter by letter and in provisional order, get the next
+    free numbers.
     """
     require_logic(phi, LogicId.RLDL)
     names = set(propositions(phi))
@@ -711,94 +621,28 @@ def from_rldl(
         names = extra
     prop_tuple = tuple(sorted(names))
     builder = _Builder(prop_tuple)
-    initial = builder.automaton(phi, beta)
-    apa = APA(
-        prop_tuple,
-        len(builder.colors),
-        initial,
-        builder.delta,
-        tuple(builder.colors),
-    )
-    return normalize_colors(_prune(apa))
-
-
-def _prune(a: APA) -> APA:
-    """Restrict to states reachable from the initial state."""
-    letters = all_letters(a.props)
-    reach = {a.initial}
-    work = [a.initial]
-    while work:
-        q = work.pop()
-        for letter in letters:
-            for t in pb_states(a.delta[(q, letter)]):
-                if t not in reach:
-                    reach.add(t)
-                    work.append(t)
-    order = sorted(reach)
-    index = {q: i for i, q in enumerate(order)}
+    order = [builder.id_of(builder.root(phi, beta))]
+    number = {order[0]: 0}
     delta = {}
-    for q in order:
-        for letter in letters:
-            delta[(index[q], letter)] = pb_rename(
-                a.delta[(q, letter)], index.__getitem__
-            )
-    color = tuple(a.color[q] for q in order)
-    return APA(a.props, len(order), index[a.initial], delta, color)
+    for q, i in enumerate(order):  # grows while it is walked
+        for li, letter in enumerate(builder.letters):
+            pb = builder.delta(i, li)
+            for t in sorted(pb_states(pb)):
+                if t not in number:
+                    number[t] = len(order)
+                    order.append(t)
+            delta[(q, letter)] = pb_rename(pb, number.__getitem__)
+    color = tuple(builder.color(i) for i in order)
+    return normalize_colors(APA(prop_tuple, len(order), 0, delta, color))
 
 
 def weak_components(a: APA):
     """SCCs of the state graph with their color sets, topological order."""
-    graph = {q: set() for q in range(a.n_states)}
+    graph = [set() for _ in range(a.n_states)]
     for (q, _letter), pb in a.delta.items():
         graph[q] |= pb_states(pb)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack: list[int] = []
-    counter = [0]
-    components: list[tuple[int, ...]] = []
-    sys_stack: list[tuple[int, int]] = []
-    for root in range(a.n_states):
-        if root in index:
-            continue
-        sys_stack.append((root, -1))
-        while sys_stack:
-            node, pos = sys_stack.pop()
-            if pos == -1:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-                succs = sorted(graph[node])
-                sys_stack.append((node, 0))
-                continue
-            succs = sorted(graph[node])
-            if pos > 0:
-                prev = succs[pos - 1]
-                low[node] = min(low[node], low[prev])
-            advanced = False
-            for i in range(pos, len(succs)):
-                t = succs[i]
-                if t not in index:
-                    sys_stack.append((node, i + 1))
-                    sys_stack.append((t, -1))
-                    advanced = True
-                    break
-                if t in on_stack:
-                    low[node] = min(low[node], index[t])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(tuple(sorted(comp)))
-    components.reverse()
-    return components
+    components = sccs(range(a.n_states), lambda q: sorted(graph[q]))
+    return [tuple(sorted(comp)) for comp in reversed(components)]
 
 
 def is_weak(a: APA) -> bool:

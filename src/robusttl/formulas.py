@@ -42,7 +42,35 @@ class LogicViolationError(ValueError):
         super().__init__(f"not a {logic.value} formula: " + "; ".join(violations))
 
 
-class Formula:
+class HashOnce:
+    """Frozen-dataclass base whose instances compute their hash once.
+
+    The value is the hash of the field tuple, as the generated
+    ``__hash__`` would return, but it is stored at construction, so a
+    dict lookup no longer walks the whole subtree.  It depends on the
+    interpreter's string-hash seed, so a pickled node is rebuilt from its
+    fields and hashed afresh where it is loaded.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Defined in the class itself, so the dataclass decorator keeps it.
+        cls.__hash__ = HashOnce.__hash__
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        fields = tuple(v for k, v in self.__dict__.items() if k != "_hash")
+        return type(self), fields
+
+
+class Formula(HashOnce):
     """Base class for formula nodes."""
 
     __slots__ = ()
@@ -51,7 +79,7 @@ class Formula:
         return format_formula(self)
 
 
-class Guard:
+class Guard(HashOnce):
     """Base class for guard nodes."""
 
     __slots__ = ()

@@ -31,6 +31,7 @@ from .apa import (
     pb_models,
 )
 from .formulas import Formula, LogicId, require_logic
+from .graphs import sccs
 from .guards import all_letters
 from .traces import LassoTrace
 from .truth import TOP, TruthValue4
@@ -191,7 +192,7 @@ def nba_accepts_lasso(nba: NBA, trace: LassoTrace) -> bool:
             if s not in seen:
                 seen.add(s)
                 work.append(s)
-    for comp in _sccs(graph):
+    for comp in sccs(graph, graph.__getitem__):
         comp_set = set(comp)
         has_edge = any(s in comp_set for n in comp for s in graph[n])
         if not has_edge:
@@ -199,53 +200,6 @@ def nba_accepts_lasso(nba: NBA, trace: LassoTrace) -> bool:
         if any(q in nba.accepting for q, _ in comp):
             return True
     return False
-
-
-def _sccs(graph: dict):
-    """Tarjan over an explicit successor dict, iterative."""
-    index: dict = {}
-    low: dict = {}
-    on_stack = set()
-    stack: list = []
-    counter = [0]
-    components = []
-    for root in graph:
-        if root in index:
-            continue
-        call = [(root, 0)]
-        while call:
-            node, pos = call.pop()
-            if pos == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            succs = graph[node]
-            if pos > 0:
-                prev = succs[pos - 1]
-                low[node] = min(low[node], low[prev])
-            advanced = False
-            for i in range(pos, len(succs)):
-                t = succs[i]
-                if t not in index:
-                    call.append((node, i + 1))
-                    call.append((t, 0))
-                    advanced = True
-                    break
-                if t in on_stack:
-                    low[node] = min(low[node], index[t])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(tuple(comp))
-    return components
 
 
 def nba_emptiness(nba: NBA) -> LassoTrace | None:

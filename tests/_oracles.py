@@ -22,11 +22,51 @@ full_alphabet_mc_witness is the model check over the union of the
 formula's and the system's propositions: the system as a Buechi
 automaton, intersected over the full product state space with the
 complement automaton, then searched for emptiness.
+
+reference_from_rldl is the eager alternating-automaton compiler: every
+subformula and guard block gets states over every letter, a complement
+is a copied dual of everything its state reaches, and a final pass
+prunes the result to the states reachable from the initial one.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from robusttl.apa import (
+    APA,
+    PB_FALSE,
+    PB_TRUE,
+    AlphabetMismatchError,
+    PBVar,
+    PositiveBool,
+    normalize_colors,
+    pb_and,
+    pb_dual,
+    pb_or,
+    pb_rename,
+    pb_states,
+)
+from robusttl.formulas import (
+    And,
+    Atom,
+    Box,
+    Diamond,
+    Ff,
+    Formula,
+    Guard,
+    Implies,
+    LogicId,
+    NegAtom,
+    Not,
+    Or,
+    Tt,
+    format_formula,
+    propositions,
+    require_logic,
+)
+from robusttl.guards import all_letters, prop_holds, simple_eps_closure, thompson
+from robusttl.truth import ALL_VALUES, BOTTOM, TOP, TruthValue4
 
 
 def _reachable(edges, start):
@@ -272,3 +312,405 @@ def full_alphabet_mc_witness(ts, phi, beta):
     props = sorted(propositions(phi) | ts.propositions)
     bad = apa_to_nba(apa_complement(from_rldl(phi, beta, props)))
     return nba_emptiness(nba_intersection(ts_to_nba(ts, props), bad))
+
+
+class _ReferenceBuilder:
+    """Eager compiler: every block over every letter, duals by copying."""
+
+    def __init__(self, props: tuple[str, ...]):
+        self.props = props
+        self.letters = all_letters(props)
+        self.colors: list[int] = []
+        self.delta: dict = {}
+        self.cache: dict = {}
+        self.dual_map: dict[int, int] = {}
+
+    def new_state(self, color: int) -> int:
+        q = len(self.colors)
+        self.colors.append(color)
+        return q
+
+    def set_delta(self, q: int, letter: frozenset, pb: PositiveBool) -> None:
+        self.delta[(q, letter)] = pb
+
+    def init_delta(self, phi: Formula, beta: TruthValue4, letter) -> PositiveBool:
+        return self.delta[(self.automaton(phi, beta), letter)]
+
+    def dual_init_delta(self, phi: Formula, beta: TruthValue4, letter) -> PositiveBool:
+        return self.delta[(self.dual_of(self.automaton(phi, beta)), letter)]
+
+    def dual_of(self, q: int) -> int:
+        """State recognizing the complement language from q (lazy copy)."""
+        if q in self.dual_map:
+            return self.dual_map[q]
+        pending = [q]
+        allocated = []
+        while pending:
+            s = pending.pop()
+            if s in self.dual_map:
+                continue
+            # Dualizing is an involution; record both directions so that
+            # the dual of a dual resolves to the original state instead of
+            # copying the reachable part again at every nesting level.
+            fresh = self.new_state(self.colors[s] + 1)
+            self.dual_map[s] = fresh
+            self.dual_map[fresh] = s
+            allocated.append(s)
+            for letter in self.letters:
+                for t in pb_states(self.delta[(s, letter)]):
+                    if t not in self.dual_map:
+                        pending.append(t)
+        for s in allocated:
+            for letter in self.letters:
+                pb = pb_dual(self.delta[(s, letter)], self.dual_map.__getitem__)
+                self.set_delta(self.dual_map[s], letter, pb)
+        return self.dual_map[q]
+
+    # -- formula cases -------------------------------------------------
+
+    def automaton(self, phi: Formula, beta: TruthValue4) -> int:
+        key = (phi, beta)
+        if key in self.cache:
+            return self.cache[key]
+        q = self._build(phi, beta)
+        self.cache[key] = q
+        return q
+
+    def _accept(self) -> int:
+        if ("acc",) in self.cache:
+            return self.cache[("acc",)]
+        q = self.new_state(0)
+        for letter in self.letters:
+            self.set_delta(q, letter, PB_TRUE)
+        self.cache[("acc",)] = q
+        return q
+
+    def _reject(self) -> int:
+        if ("rej",) in self.cache:
+            return self.cache[("rej",)]
+        q = self.new_state(0)
+        for letter in self.letters:
+            self.set_delta(q, letter, PB_FALSE)
+        self.cache[("rej",)] = q
+        return q
+
+    def _build(self, phi: Formula, beta: TruthValue4) -> int:
+        if beta == BOTTOM or isinstance(phi, Tt):
+            return self._accept()
+        if isinstance(phi, Ff):
+            return self._reject()
+        if isinstance(phi, Atom):
+            return self._atom(phi.name, False)
+        if isinstance(phi, NegAtom):
+            return self._atom(phi.name, True)
+        if isinstance(phi, Not):
+            return self.dual_of(self.automaton(phi.arg, TOP))
+        if isinstance(phi, (And, Or)):
+            smash = pb_and if isinstance(phi, And) else pb_or
+            q = self.new_state(0)
+            for letter in self.letters:
+                pb = smash(
+                    [
+                        self.init_delta(phi.left, beta, letter),
+                        self.init_delta(phi.right, beta, letter),
+                    ]
+                )
+                self.set_delta(q, letter, pb)
+            return q
+        if isinstance(phi, Implies):
+            return self._implies(phi, beta)
+        if isinstance(phi, Diamond):
+            return self._guard_exists(phi.guard, phi.arg, beta)
+        if isinstance(phi, Box):
+            return self._box(phi, beta)
+        msg = f"cannot compile {format_formula(phi)}"
+        raise ValueError(msg)
+
+    def _atom(self, name: str, negated: bool) -> int:
+        key = ("atom", name, negated)
+        if key in self.cache:
+            return self.cache[key]
+        q = self.new_state(0)
+        for letter in self.letters:
+            holds = (name in letter) != negated
+            self.set_delta(q, letter, PB_TRUE if holds else PB_FALSE)
+        self.cache[key] = q
+        return q
+
+    def _implies(self, phi: Implies, beta: TruthValue4) -> int:
+        """Value of l -> r is top when V(l) <= V(r), else V(r).
+
+        At threshold beta this is: some gamma with V(l) = gamma and
+        V(r) >= gamma, or V(r) >= beta.
+        """
+        left, right = phi.left, phi.right
+        q = self.new_state(0)
+        chain = list(ALL_VALUES)
+        for letter in self.letters:
+            disjuncts = []
+            for idx, gamma in enumerate(chain):
+                parts = []
+                if gamma != BOTTOM:
+                    parts.append(self.init_delta(left, gamma, letter))
+                if idx + 1 < len(chain):
+                    above = chain[idx + 1]
+                    parts.append(self.dual_init_delta(left, above, letter))
+                if gamma != BOTTOM:
+                    parts.append(self.init_delta(right, gamma, letter))
+                disjuncts.append(pb_and(parts))
+            disjuncts.append(self.init_delta(right, beta, letter))
+            self.set_delta(q, letter, pb_or(disjuncts))
+        return q
+
+    # -- guard blocks ----------------------------------------------------
+
+    def _closure_entries(self, nfa, closure, letter):
+        """(jump?, target, test set) triples for a state reading letter.
+
+        ``closure`` is the state's epsilon closure, which does not depend
+        on the letter.
+        """
+        out = []
+        for q2, tests in closure:
+            if q2 in nfa.finals:
+                out.append((True, None, tests))
+            for formula, q3 in nfa.letters[q2]:
+                if prop_holds(letter, formula):
+                    out.append((False, q3, tests))
+        return out
+
+    def _test_parts(self, tests, deg, letter, dual: bool):
+        fn = self.dual_init_delta if dual else self.init_delta
+        return [fn(theta, deg, letter) for theta in sorted(tests, key=format_formula)]
+
+    def _guard_exists(self, guard: Guard, arg: Formula, deg: TruthValue4) -> int:
+        """Some match of the guard satisfies arg at deg (finite escape)."""
+        key = ("ex", guard, arg, deg)
+        if key in self.cache:
+            return self.cache[key]
+        nfa = thompson(guard)
+        states = [self.new_state(1) for _ in range(nfa.n_states)]
+        self.cache[key] = states[nfa.initial]
+        for q in range(nfa.n_states):
+            closure = simple_eps_closure(nfa, q)
+            for letter in self.letters:
+                disjuncts = []
+                for jump, q3, tests in self._closure_entries(nfa, closure, letter):
+                    parts = self._test_parts(tests, deg, letter, dual=False)
+                    if jump:
+                        parts.append(self.init_delta(arg, deg, letter))
+                    else:
+                        parts.append(PBVar(states[q3]))
+                    disjuncts.append(pb_and(parts))
+                self.set_delta(states[q], letter, pb_or(disjuncts))
+        return states[nfa.initial]
+
+    def _guard_forall(self, guard: Guard, arg: Formula, deg: TruthValue4) -> int:
+        """Every match of the guard satisfies arg at deg."""
+        key = ("all", guard, arg, deg)
+        if key in self.cache:
+            return self.cache[key]
+        nfa = thompson(guard)
+        states = [self.new_state(0) for _ in range(nfa.n_states)]
+        self.cache[key] = states[nfa.initial]
+        for q in range(nfa.n_states):
+            closure = simple_eps_closure(nfa, q)
+            for letter in self.letters:
+                conjuncts = []
+                for jump, q3, tests in self._closure_entries(nfa, closure, letter):
+                    parts = self._test_parts(tests, deg, letter, dual=True)
+                    if jump:
+                        parts.append(self.init_delta(arg, deg, letter))
+                    else:
+                        parts.append(PBVar(states[q3]))
+                    conjuncts.append(pb_or(parts))
+                self.set_delta(states[q], letter, pb_and(conjuncts))
+        return states[nfa.initial]
+
+    def _guard_inf(
+        self, guard: Guard, arg: Formula, deg: TruthValue4, refuted: bool
+    ) -> int:
+        """Infinitely many matches satisfy (or, refuted, violate) arg.
+
+        A main copy tracks one run forever; at every step a checker copy
+        is spawned at the successor state and must finish a match whose
+        continuation satisfies arg at deg (its dual when refuted).
+        """
+        key = ("inf", guard, arg, deg, refuted)
+        if key in self.cache:
+            return self.cache[key]
+        nfa = thompson(guard)
+        main = [self.new_state(0) for _ in range(nfa.n_states)]
+        check = [self.new_state(1) for _ in range(nfa.n_states)]
+        self.cache[key] = main[nfa.initial]
+        jump_delta = self.dual_init_delta if refuted else self.init_delta
+        for q in range(nfa.n_states):
+            closure = simple_eps_closure(nfa, q)
+            for letter in self.letters:
+                main_parts = []
+                check_parts = []
+                for jump, q3, tests in self._closure_entries(nfa, closure, letter):
+                    tests_pos = self._test_parts(tests, deg, letter, dual=False)
+                    if jump:
+                        check_parts.append(
+                            pb_and([*tests_pos, jump_delta(arg, deg, letter)])
+                        )
+                    else:
+                        main_parts.append(
+                            pb_and(
+                                [
+                                    *tests_pos,
+                                    PBVar(main[q3]),
+                                    PBVar(check[q3]),
+                                ]
+                            )
+                        )
+                        check_parts.append(
+                            pb_and([*tests_pos, PBVar(check[q3])])
+                        )
+                self.set_delta(main[q], letter, pb_or(main_parts))
+                self.set_delta(check[q], letter, pb_or(check_parts))
+        return main[nfa.initial]
+
+    def _box(self, phi: Box, beta: TruthValue4) -> int:
+        """Union of the primed-bit blocks up to the threshold bit."""
+        guard, arg = phi.guard, phi.arg
+        blocks = [self._guard_forall(guard, arg, TOP)]
+        if beta.bit_index >= 2:
+            blocks.append(self._box_liminf(guard, arg))
+        if beta.bit_index >= 3:
+            blocks.append(self._box_limsup(guard, arg))
+        if beta.bit_index >= 4:
+            blocks.append(self._box_fin(guard, arg))
+        q = self.new_state(0)
+        for letter in self.letters:
+            pb = pb_or([self.delta[(b, letter)] for b in blocks])
+            self.set_delta(q, letter, pb)
+        return q
+
+    def _box_liminf(self, guard: Guard, arg: Formula) -> int:
+        """Almost all matches satisfy arg at deg 0111.
+
+        Either infinitely many matches satisfy and only finitely many
+        violate, or there are finitely many matches and all satisfy.
+        """
+        deg = TruthValue4(7)
+        inf_sat = self._guard_inf(guard, arg, deg, refuted=False)
+        inf_unsat = self._guard_inf(guard, arg, deg, refuted=True)
+        fin_matches = self.dual_of(self._guard_inf(guard, Tt(), deg, refuted=False))
+        all_sat = self._guard_forall(guard, arg, deg)
+        q = self.new_state(0)
+        for letter in self.letters:
+            pb = pb_or(
+                [
+                    pb_and(
+                        [
+                            self.delta[(inf_sat, letter)],
+                            self.delta[(self.dual_of(inf_unsat), letter)],
+                        ]
+                    ),
+                    pb_and(
+                        [
+                            self.delta[(fin_matches, letter)],
+                            self.delta[(all_sat, letter)],
+                        ]
+                    ),
+                ]
+            )
+            self.set_delta(q, letter, pb)
+        return q
+
+    def _box_limsup(self, guard: Guard, arg: Formula) -> int:
+        """Infinitely many (or a final cofinite tail of no) matches work.
+
+        Infinitely many satisfying matches, or finitely many matches with
+        at least one satisfying, or no match at all; degree 0011.
+        """
+        deg = TruthValue4(3)
+        inf_sat = self._guard_inf(guard, arg, deg, refuted=False)
+        fin_matches = self.dual_of(self._guard_inf(guard, Tt(), deg, refuted=False))
+        some_sat = self._guard_exists(guard, arg, deg)
+        no_match = self.dual_of(self._guard_exists(guard, Tt(), deg))
+        q = self.new_state(0)
+        for letter in self.letters:
+            pb = pb_or(
+                [
+                    self.delta[(inf_sat, letter)],
+                    pb_and(
+                        [
+                            self.delta[(fin_matches, letter)],
+                            self.delta[(some_sat, letter)],
+                        ]
+                    ),
+                    self.delta[(no_match, letter)],
+                ]
+            )
+            self.set_delta(q, letter, pb)
+        return q
+
+    def _box_fin(self, guard: Guard, arg: Formula) -> int:
+        """Some match satisfies at degree 0001, or no match exists."""
+        deg = TruthValue4(1)
+        some_sat = self._guard_exists(guard, arg, deg)
+        no_match = self.dual_of(self._guard_exists(guard, Tt(), deg))
+        q = self.new_state(0)
+        for letter in self.letters:
+            pb = pb_or(
+                [
+                    self.delta[(some_sat, letter)],
+                    self.delta[(no_match, letter)],
+                ]
+            )
+            self.set_delta(q, letter, pb)
+        return q
+
+
+def reference_from_rldl(
+    phi: Formula,
+    beta: TruthValue4,
+    props=None,
+) -> APA:
+    """from_rldl by eager construction, then a prune to the reachable part."""
+    require_logic(phi, LogicId.RLDL)
+    names = set(propositions(phi))
+    if props is not None:
+        extra = set(props)
+        if not names <= extra:
+            msg = "props must cover the propositions of the formula"
+            raise AlphabetMismatchError(msg)
+        names = extra
+    prop_tuple = tuple(sorted(names))
+    builder = _ReferenceBuilder(prop_tuple)
+    initial = builder.automaton(phi, beta)
+    apa = APA(
+        prop_tuple,
+        len(builder.colors),
+        initial,
+        builder.delta,
+        tuple(builder.colors),
+    )
+    return normalize_colors(_prune(apa))
+
+
+def _prune(a: APA) -> APA:
+    """Restrict to states reachable from the initial state."""
+    letters = all_letters(a.props)
+    reach = {a.initial}
+    work = [a.initial]
+    while work:
+        q = work.pop()
+        for letter in letters:
+            for t in pb_states(a.delta[(q, letter)]):
+                if t not in reach:
+                    reach.add(t)
+                    work.append(t)
+    order = sorted(reach)
+    index = {q: i for i, q in enumerate(order)}
+    delta = {}
+    for q in order:
+        for letter in letters:
+            delta[(index[q], letter)] = pb_rename(
+                a.delta[(q, letter)], index.__getitem__
+            )
+    color = tuple(a.color[q] for q in order)
+    return APA(a.props, len(order), index[a.initial], delta, color)

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+
 import pytest
+from _oracles import reference_from_rldl
 
 from robusttl.apa import (
     APA,
@@ -20,13 +25,15 @@ from robusttl.apa import (
     pb_dual,
     pb_models,
     pb_or,
+    pb_states,
     weak_components,
 )
 from robusttl.formulas import LogicId, size
 from robusttl.gen import make_rng, random_formula, random_lasso
+from robusttl.omega import apa_to_nba
 from robusttl.parser import parse
 from robusttl.semantics import eval_rldl
-from robusttl.truth import POSITIVE_VALUES, TOP, V0011, V0111, from_string
+from robusttl.truth import ALL_VALUES, POSITIVE_VALUES, TOP, V0011, V0111, from_string
 from robusttl.traces import parse_trace
 
 PQ = ("p", "q")
@@ -146,6 +153,20 @@ def test_weak_components_uniform_colors():
         assert len(colors) == 1
 
 
+def test_weak_components_are_in_topological_order():
+    # Component membership itself is checked in test_graphs.py.
+    rng = make_rng(59)
+    for _ in range(20):
+        phi = random_formula(rng, LogicId.RLDL, rng.randint(2, 10), PQ)
+        apa = from_rldl(phi, V0011, PQ)
+        comps = weak_components(apa)
+        assert sorted(q for comp in comps for q in comp) == list(range(apa.n_states))
+        position = {q: i for i, comp in enumerate(comps) for q in comp}
+        for (q, _letter), pb in apa.delta.items():
+            for t in pb_states(pb):
+                assert position[q] <= position[t], (phi, q, t)
+
+
 def test_state_count_linear_in_size():
     # 10 is the documented constant: each subformula is compiled at most
     # once per degree and dual, each guard block costing 2 NFA copies.
@@ -190,3 +211,73 @@ def test_implication_chain_thresholds():
     for trace_text in ["; {p,q}", "{q} ; {p}", "{p} ; {q}", "; {p}", "; {q} {}"]:
         w = parse_trace(trace_text)
         assert apa_accepts_lasso(apa, w) == (eval_rldl(w, phi) >= V0011)
+
+
+def test_on_demand_builder_matches_eager_reference():
+    # Criterion-3-style formulas at every threshold, every third over
+    # {p,q,r}: the on-demand automaton has the states of the eager one
+    # after pruning (numbered differently), the same colors, the same
+    # lassos and an NBA of the same size.
+    rng = make_rng(707)
+    for k in range(40):
+        props = ("p", "q", "r") if k % 3 == 2 else PQ
+        phi = random_formula(rng, LogicId.RLDL, rng.randint(1, 12), props)
+        lassos = [random_lasso(rng, props) for _ in range(10)]
+        for beta in ALL_VALUES:
+            apa = from_rldl(phi, beta, props)
+            ref = reference_from_rldl(phi, beta, props)
+            assert apa.n_states == ref.n_states, (phi, beta)
+            assert sorted(apa.color) == sorted(ref.color), (phi, beta)
+            for w in lassos:
+                assert apa_accepts_lasso(apa, w) == apa_accepts_lasso(ref, w), (phi, beta, w)
+            assert apa_to_nba(apa).n_states == apa_to_nba(ref).n_states, (phi, beta)
+
+
+def test_state_in_collapsed_conjunction_is_not_numbered():
+    # The right side's block state occurs only in conjunctions that a
+    # false test collapses; numbering it would give 5 states.
+    phi = parse("!y -> <!ff> !r", LogicId.RLDL)
+    beta = from_string("0001")
+    assert from_rldl(phi, beta).n_states == 3
+    assert reference_from_rldl(phi, beta).n_states == 3
+
+
+_DUMP_APAS = """
+from robusttl.apa import from_rldl
+from robusttl.formulas import LogicId
+from robusttl.gen import make_rng, random_formula
+from robusttl.parser import parse
+from robusttl.truth import ALL_VALUES
+
+rng = make_rng(808)
+formulas = [
+    random_formula(rng, LogicId.RLDL, rng.randint(3, 10), ("p", "q", "r"))
+    for _ in range(12)
+]
+# Several modal tests on one path: their order must not follow set order.
+formulas += [
+    parse("<{<tt*> p}? ; {[tt*] q}? ; {<q ; tt> r}? ; tt> p", LogicId.RLDL),
+    parse("[({<tt*> q}? ; {[p*] r}? ; tt)*] <{<tt> p}? ; {<tt*> !q}?> r", LogicId.RLDL),
+]
+for phi in formulas:
+    for beta in ALL_VALUES:
+        a = from_rldl(phi, beta)
+        delta = [(q, sorted(letter), pb) for (q, letter), pb in a.delta.items()]
+        print(a.n_states, a.initial, a.color, repr(delta))
+"""
+
+
+def test_from_rldl_independent_of_hash_seed():
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _DUMP_APAS],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 70
+    assert outputs[0] == outputs[1]

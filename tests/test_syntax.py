@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from robusttl.formulas import (
@@ -185,3 +189,38 @@ def test_random_formulas_stay_admissible():
             phi = random_formula(rng, logic, rng.randint(1, 10), ("p", "q"))
             require_logic(phi, logic)
             assert parse(format_formula(phi)) is not None
+
+
+_PICKLE_DUMP = """
+import pickle, sys
+from robusttl.parser import parse
+sys.stdout.buffer.write(pickle.dumps(parse("[tt*] (p -> <{q}? ; tt> r)")))
+"""
+
+_PICKLE_LOAD = """
+import copy, pickle, sys
+from robusttl.parser import parse
+phi = parse("[tt*] (p -> <{q}? ; tt> r)")
+loaded = pickle.loads(sys.stdin.buffer.read())
+assert loaded == phi and hash(loaded) == hash(phi)
+assert {phi: 1}[loaded] == 1 and hash(copy.deepcopy(phi)) == hash(phi)
+print("ok")
+"""
+
+
+def test_pickled_formula_is_hashed_where_it_is_loaded():
+    # Nodes cache their hash, which depends on the string-hash seed.
+    dumped = subprocess.run(
+        [sys.executable, "-c", _PICKLE_DUMP],
+        capture_output=True,
+        check=True,
+        env=dict(os.environ, PYTHONHASHSEED="0"),
+    ).stdout
+    loaded = subprocess.run(
+        [sys.executable, "-c", _PICKLE_LOAD],
+        input=dumped,
+        capture_output=True,
+        check=True,
+        env=dict(os.environ, PYTHONHASHSEED="1"),
+    )
+    assert loaded.stdout == b"ok\n"
