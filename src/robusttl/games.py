@@ -6,17 +6,20 @@ parity games through a deterministic parity automaton for the objective;
 winning strategies come back as finite-state Mealy machines whose memory
 is the automaton state.
 
-The games this package builds number their vertices 0..n-1 and keep a
+The games this package builds hold only what a play from the start can
+reach.  They number their vertices 0..n-1, the start 0, and keep a
 `back` list from each number to the product node it stands for; the
 solver numbers any other game's vertices in the order given.  Regions
 are walked as lists in that order, never as sets, so strategies do not
-depend on the hash seed.
+depend on the hash seed.  A strategy is checked on the nodes it reaches
+before it is returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .formulas import Formula, LogicId, propositions, require_logic
+from .graphs import least_priorities, read_graph_text
 from .traces import LassoTrace
 from .truth import TruthValue4
 
@@ -199,21 +202,22 @@ class LabeledGameGraph:
         return frozenset(out)
 
 
-def reduce_game(graph: LabeledGameGraph, dpa) -> tuple[ParityGame, list]:
+def reduce_game(graph: LabeledGameGraph, dpa, start: int) -> tuple[ParityGame, list]:
     """Product of an arena with a deterministic parity automaton.
 
     Nodes are (arena vertex, automaton state); the automaton advances
     on the label of the vertex being left, projected onto its own
     propositions; colors come from the automaton.  The game numbers the
-    nodes reachable from every (v, initial) breadth-first, seeded in
-    arena-vertex order, so (v, initial) is numbered by v's position;
-    back[i] is node i.
+    nodes reachable from (v, initial), for v the arena vertex at
+    position start, breadth-first, so that node is 0; back[i] is node i.
+    What a play from node 0 can reach is closed under moves, so each
+    node is won by the same player as in the product of every vertex.
     """
     graph.validate()
     keep = frozenset(dpa.props)
     letter = {v: graph.labels[v] & keep for v in graph.vertices}
-    back = [(v, dpa.initial) for v in graph.vertices]
-    index = {node: i for i, node in enumerate(back)}
+    back = [(graph.vertices[start], dpa.initial)]
+    index = {back[0]: 0}
     rows: dict = {}  # (v, next state) -> successors, shared between nodes
     owner = []
     edges = []
@@ -265,7 +269,7 @@ class GameResult:
 
 
 def _start(graph: LabeledGameGraph, vertex) -> int:
-    """Position of vertex in the arena, which numbers its start node."""
+    """Position of vertex in the arena, from which the products start."""
     try:
         return graph.vertices.index(vertex)
     except ValueError:
@@ -273,31 +277,50 @@ def _start(graph: LabeledGameGraph, vertex) -> int:
         raise UnknownVertexError(msg) from None
 
 
-def _strategy_reach(game: ParityGame, start: int, strat0: dict) -> list:
-    """The nodes a play from start can visit under player 0's strategy,
-    against every move of player 1, in the order they are reached."""
-    reached = [start]
-    seen = {start}
+def _checked_reach(game: ParityGame, strat0: dict) -> list:
+    """The nodes a play from node 0 can visit under player 0's strategy,
+    against every move of player 1, in the order they are reached.
+
+    The strategy is checked on them before anything is read off it:
+    every reached player-0 node moves along one of its edges, and every
+    cycle the plays can close has an even top color, which holds exactly
+    when ``least_priorities`` gives no reached node an odd priority.
+    """
+    reached = [0]
+    local = {0: 0}
+    succ = []
     for i in reached:  # grows while it is walked
         if game.owner[i] == 0:
-            targets = (strat0[i],)
+            move = strat0.get(i)
+            if move not in game.edges[i]:
+                msg = f"internal error: strategy has no move at product node {i}"
+                raise AssertionError(msg)
+            targets = (move,)
         else:
             targets = game.edges[i]
+        out = []
         for j in targets:
-            if j not in seen:
-                seen.add(j)
+            k = local.get(j)
+            if k is None:
+                k = local[j] = len(reached)
                 reached.append(j)
+            out.append(k)
+        succ.append(out)
+    least = least_priorities(succ, [game.color[i] for i in reached])
+    if any(p & 1 for p in least):
+        msg = "internal error: strategy lets a play settle on an odd top color"
+        raise AssertionError(msg)
     return reached
 
 
 def _strategy_from_product(
-    game: ParityGame, back: list, initial, start: int, strat0
+    game: ParityGame, back: list, initial, strat0
 ) -> MealyStrategy:
     """Mealy machine with the automaton state as memory, read off the
-    product nodes the strategy reaches from the start node."""
+    product nodes the strategy reaches from node 0."""
     update = {}
     choice = {}
-    for i in _strategy_reach(game, start, strat0):
+    for i in _checked_reach(game, strat0):
         v, q = back[i]
         # Every successor of (v, q) carries the same next automaton state.
         update[(q, v)] = back[game.edges[i][0]][1]
@@ -323,30 +346,31 @@ def solve_rldl_game(
     require_logic(phi, LogicId.RLDL)
     start = _start(graph, vertex)
     dpa = rldl_to_dpa(phi, beta, sorted(propositions(phi)))
-    game, back = reduce_game(graph, dpa)
+    game, back = reduce_game(graph, dpa, start)
     win0, _win1, strat0, _strat1 = solve_parity(game)
-    if start in win0:
-        strategy = _strategy_from_product(game, back, dpa.initial, start, strat0)
+    if 0 in win0:
+        strategy = _strategy_from_product(game, back, dpa.initial, strat0)
         return GameResult(0, strategy)
     return GameResult(1, None)
 
 
-def _color_game(graph: LabeledGameGraph, dpa, color_prop: str):
+def _color_game(graph: LabeledGameGraph, dpa, color_prop: str, start: int):
     """Arena where player 0 additionally picks the recoloring bit.
 
     Nodes ('pick', v, q) belong to player 0 and choose the color emitted
     with v's label, projected onto the automaton's other propositions;
     nodes ('move', v, q') pick the successor vertex and belong to v's
-    owner.  Returns the game, numbered as in reduce_game from every
-    ('pick', v, initial), and its back list.
+    owner.  Returns the game, numbered as in reduce_game from
+    ('pick', v, initial) for v the arena vertex at position start, and
+    its back list.
     """
     keep = frozenset(dpa.props) - {color_prop}
     letters = {}
     for v in graph.vertices:
         label = graph.labels[v] & keep
         letters[v] = (label, label | {color_prop})
-    back = [("pick", v, dpa.initial) for v in graph.vertices]
-    index = {node: i for i, node in enumerate(back)}
+    back = [("pick", graph.vertices[start], dpa.initial)]
+    index = {back[0]: 0}
     owner = []
     edges = []
     color = []
@@ -401,13 +425,13 @@ def solve_prompt_game(
     relaxed = ltl_surface_to_ldl(relax_prompt(psi, color_prop))
     objective = And(relaxed, _changes_infinitely(color_prop))
     dpa = ldl_to_dpa(objective, sorted([*props, color_prop]))
-    game, back = _color_game(graph, dpa, color_prop)
+    game, back = _color_game(graph, dpa, color_prop, start)
     win0, _win1, strat0, _ = solve_parity(game)
-    if start not in win0:
+    if 0 not in win0:
         return GameResult(1, None)
     update = {}
     choice = {}
-    for i in _strategy_reach(game, start, strat0):
+    for i in _checked_reach(game, strat0):
         kind, v, q = back[i]
         if kind != "pick":
             continue
@@ -473,43 +497,17 @@ class GameFormatError(ValueError):
 
 def parse_labeled_game(text: str) -> LabeledGameGraph:
     """Text format: `v <name> <0|1> { p, q }` and `e <a> <b>`."""
-    vertices: list = []
     owner: dict = {}
-    labels: dict = {}
-    edges: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "v":
-            rest = line[1:].strip()
-            head, _, brace = rest.partition("{")
-            tokens = head.split()
-            if len(tokens) != 2 or tokens[1] not in ("0", "1") or not brace.rstrip().endswith("}"):
-                msg = f"malformed vertex line: {raw.strip()!r}"
-                raise GameFormatError(msg)
-            name = tokens[0]
-            if name in owner:
-                msg = f"duplicate vertex {name!r}"
-                raise GameFormatError(msg)
-            vertices.append(name)
-            owner[name] = int(tokens[1])
-            body = brace.rstrip()[:-1]
-            labels[name] = frozenset(p.strip() for p in body.split(",") if p.strip())
-            edges[name] = ()
-        elif parts[0] == "e":
-            if len(parts) != 3:
-                msg = f"malformed edge line: {raw.strip()!r}"
-                raise GameFormatError(msg)
-            src, dst = parts[1], parts[2]
-            if src not in owner or dst not in owner:
-                msg = f"edge references unknown vertex: {raw.strip()!r}"
-                raise GameFormatError(msg)
-            edges[src] = (*edges[src], dst)
-        else:
-            msg = f"unrecognized line: {raw.strip()!r}"
-            raise GameFormatError(msg)
+
+    def fields(name: str, words: list) -> bool:
+        if len(words) != 1 or words[0] not in ("0", "1"):
+            return False
+        owner[name] = int(words[0])
+        return True
+
+    vertices, labels, edges = read_graph_text(
+        text, "v", "e", "vertex", GameFormatError, fields
+    )
     graph = LabeledGameGraph(tuple(vertices), owner, edges, labels)
     graph.validate()
     return graph

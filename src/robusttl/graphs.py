@@ -1,4 +1,6 @@
-"""Graph routines shared by the automaton layers."""
+"""Graph routines shared by the layers: strongly connected components,
+least parity priorities, and the line format that transition systems and
+game arenas are written in."""
 from __future__ import annotations
 
 
@@ -31,13 +33,14 @@ def sccs(roots, successors) -> list[tuple]:
                     on_stack.add(t)
                     call.append((t, iter(successors(t))))
                     break
-                if t in on_stack:
-                    low[node] = min(low[node], index[t])
+                if t in on_stack and index[t] < low[node]:
+                    low[node] = index[t]
             else:
                 call.pop()
                 if call:
                     parent = call[-1][0]
-                    low[parent] = min(low[parent], low[node])
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
                 if low[node] == index[node]:
                     comp = []
                     while True:
@@ -48,3 +51,119 @@ def sccs(roots, successors) -> list[tuple]:
                             break
                     components.append(tuple(comp))
     return components
+
+
+def least_priorities(succ: list, color: list) -> list[int]:
+    """Least max-parity priorities that keep the parity of every cycle.
+
+    Nodes are 0..n-1, succ[v] lists v's successors and color[v] its
+    color.  The recursion of Carton and Maceiras on nested components:
+    in each component that holds a cycle, the nodes of the top color are
+    set aside and the rest is solved the same way; the top nodes then get
+    the least number of the top's parity that is at least every priority
+    below them.  A node of the rest on no cycle of its own lies on cycles
+    of the component only through the top nodes, so any priority up to
+    theirs will do; like a node on no cycle at all, it takes its first
+    successor's priority, capped at the top's, with successors done
+    first (0 when the successor is not done).  A cycle's top priority
+    then has the parity of its top color, so a parity automaton
+    recolored this way keeps its language, and a graph has a cycle with
+    an odd top color exactly when some node gets an odd priority.
+    """
+    n = len(succ)
+    prio = [-1] * n
+    inside = bytearray(n)
+
+    def successors(v):
+        return [t for t in succ[v] if inside[t]]
+
+    def components(nodes):
+        """The components of the subgraph on nodes, successors first,
+        and those among them that hold a cycle."""
+        for v in nodes:
+            inside[v] = 1
+        comps = sccs(nodes, successors)
+        cyclic = [c for c in comps if len(c) > 1 or c[0] in successors(c[0])]
+        for v in nodes:
+            inside[v] = 0
+        return comps, cyclic
+
+    def first_successor(v) -> int:
+        return max(prio[succ[v][0]], 0) if succ[v] else 0
+
+    order = sccs(range(n), succ.__getitem__)
+    # Components are popped successors first.
+    work = [c for c in reversed(order) if len(c) > 1 or c[0] in succ[c[0]]]
+    while work:
+        item = work.pop()
+        if item[0] is None:  # the component below the top is done
+            _, top, high, below = item
+            least = max([0, *[prio[v] for v in below]])
+            if (least ^ top) & 1:
+                least += 1
+            for v in high:
+                prio[v] = least
+            for v in below:
+                if prio[v] < 0:
+                    prio[v] = min(first_successor(v), least)
+            continue
+        top = max([color[v] for v in item])
+        rest = [v for v in item if color[v] != top]
+        comps, cyclic = components(rest) if rest else ((), ())
+        below = [v for comp in comps for v in comp]
+        work.append((None, top, [v for v in item if color[v] == top], below))
+        work.extend(reversed(cyclic))
+    for comp in order:
+        for v in comp:
+            if prio[v] < 0:
+                prio[v] = first_successor(v)
+    return prio
+
+
+def read_graph_text(text: str, node_word: str, edge_word: str, noun: str,
+                    error: type, node_fields) -> tuple:
+    """Read the line format of transition systems and game arenas.
+
+    A node line is `<node_word> <name> <words> { p, q }`, an edge line
+    `<edge_word> <a> <b>`, and `#` starts a comment.  node_fields(name,
+    words) is given the words between the name and the brace; it returns
+    whether they are well formed, and may raise error itself.  Returns
+    the node names in order, their labels, and each name's successors in
+    the order of the edge lines.  A bad line raises error with a message
+    that quotes it.
+    """
+    names: list = []
+    labels: dict = {}
+    succs: dict = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == node_word:
+            head, _, brace = line[len(node_word):].partition("{")
+            tokens = head.split()
+            brace = brace.rstrip()
+            if not tokens or not brace.endswith("}") or not node_fields(tokens[0], tokens[1:]):
+                msg = f"malformed {noun} line: {raw.strip()!r}"
+                raise error(msg)
+            name = tokens[0]
+            if name in labels:
+                msg = f"duplicate {noun} {name!r}"
+                raise error(msg)
+            names.append(name)
+            labels[name] = frozenset(p.strip() for p in brace[:-1].split(",") if p.strip())
+            succs[name] = []
+        elif parts[0] == edge_word:
+            if len(parts) != 3:
+                msg = f"malformed edge line: {raw.strip()!r}"
+                raise error(msg)
+            src, dst = parts[1], parts[2]
+            if src not in labels or dst not in labels:
+                msg = f"edge references unknown {noun}: {raw.strip()!r}"
+                raise error(msg)
+            succs[src].append(dst)
+        else:
+            msg = f"unrecognized line: {raw.strip()!r}"
+            raise error(msg)
+    return names, labels, {name: tuple(out) for name, out in succs.items()}

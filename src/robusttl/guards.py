@@ -8,6 +8,7 @@ limit-matching check.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -59,12 +60,19 @@ def prop_holds(letter: frozenset[str], phi: Formula) -> bool:
 
 
 def all_letters(props) -> tuple[frozenset[str], ...]:
-    """The full alphabet 2^P in a deterministic order."""
-    names = sorted(props)
-    out = []
-    for mask in range(1 << len(names)):
-        out.append(frozenset(names[i] for i in range(len(names)) if mask >> i & 1))
-    return tuple(out)
+    """The full alphabet 2^P in a deterministic order.
+
+    Every automaton layer asks for the alphabet of its propositions, so
+    the last few alphabets are kept."""
+    return _alphabet(tuple(sorted(props)))
+
+
+@functools.lru_cache(maxsize=16)
+def _alphabet(names: tuple) -> tuple[frozenset[str], ...]:
+    return tuple(
+        frozenset(names[i] for i in range(len(names)) if mask >> i & 1)
+        for mask in range(1 << len(names))
+    )
 
 
 @dataclass(frozen=True)

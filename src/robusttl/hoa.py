@@ -80,11 +80,12 @@ def dpa_to_hoa(dpa: DPA, name: str | None = None) -> str:
     letters = sorted(
         {letter for (_, letter) in dpa.delta}, key=lambda s: sorted(s)
     )
+    labels = [(letter, _letter_label(letter, dpa.props)) for letter in letters]
     for q in range(dpa.n_states):
         lines.append(f"State: {q} {{{dpa.color[q]}}}")
-        for letter in letters:
+        for letter, label in labels:
             q2 = dpa.delta.get((q, letter))
             if q2 is not None:
-                lines.append(f"[{_letter_label(letter, dpa.props)}] {q2}")
+                lines.append(f"[{label}] {q2}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"

@@ -36,6 +36,7 @@ from .formulas import (
     propositions,
     require_logic,
 )
+from .graphs import read_graph_text
 from .guards import (
     _guard_prop_formulas,
     determinize,
@@ -84,57 +85,25 @@ class TransitionSystem:
 
 def parse_transition_system(text: str) -> TransitionSystem:
     """Text format: `state <name> [init] { p, q }` and `edge <a> <b>`."""
-    states: list[str] = []
-    labels: dict = {}
-    edges: dict = {}
-    initial = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "state":
-            rest = line[len("state"):].strip()
-            name, _, brace = rest.partition("{")
-            tokens = name.split()
-            if not tokens or not brace.rstrip().endswith("}"):
-                msg = f"malformed state line: {raw.strip()!r}"
+    initial: list = []
+
+    def fields(name: str, words: list) -> bool:
+        if len(words) > 1 or (words and words[0] != "init"):
+            return False
+        if words:
+            if initial:
+                msg = "multiple init states"
                 raise SystemFormatError(msg)
-            state = tokens[0]
-            if len(tokens) > 2 or (len(tokens) == 2 and tokens[1] != "init"):
-                msg = f"malformed state line: {raw.strip()!r}"
-                raise SystemFormatError(msg)
-            if len(tokens) == 2:
-                if initial is not None:
-                    msg = "multiple init states"
-                    raise SystemFormatError(msg)
-                initial = state
-            body = brace.rstrip()[:-1]
-            props = frozenset(
-                p.strip() for p in body.split(",") if p.strip()
-            )
-            if state in labels:
-                msg = f"duplicate state {state!r}"
-                raise SystemFormatError(msg)
-            states.append(state)
-            labels[state] = props
-            edges[state] = ()
-        elif parts[0] == "edge":
-            if len(parts) != 3:
-                msg = f"malformed edge line: {raw.strip()!r}"
-                raise SystemFormatError(msg)
-            src, dst = parts[1], parts[2]
-            if src not in labels or dst not in labels:
-                msg = f"edge references unknown state: {raw.strip()!r}"
-                raise SystemFormatError(msg)
-            edges[src] = (*edges[src], dst)
-        else:
-            msg = f"unrecognized line: {raw.strip()!r}"
-            raise SystemFormatError(msg)
-    if initial is None:
+            initial.append(name)
+        return True
+
+    states, labels, edges = read_graph_text(
+        text, "state", "edge", "state", SystemFormatError, fields
+    )
+    if not initial:
         msg = "no init state declared"
         raise SystemFormatError(msg)
-    ts = TransitionSystem(tuple(states), initial, edges, labels)
+    ts = TransitionSystem(tuple(states), initial[0], edges, labels)
     ts.validate()
     return ts
 

@@ -16,7 +16,10 @@ successors that a sibling strictly simulates are dropped.  A reduced NBA
 that is deterministic becomes a parity automaton as it stands; any other
 goes through the compact-tree construction that produces parity indices
 directly from tree events.  Both end with a color-respecting Moore
-quotient that merges states no run can tell apart by its colors.
+quotient that merges states no run can tell apart by its colors, then
+give every state its least priority (Carton and Maceiras, "Computing the
+Rabin index of a parity automaton", 1999) and quotient again while that
+lets more states merge.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from .apa import (
     pb_models,
 )
 from .formulas import Formula, LogicId, require_logic
-from .graphs import sccs
+from .graphs import least_priorities, sccs
 from .guards import all_letters
 from .traces import LassoTrace
 from .truth import TOP, TruthValue4
@@ -552,9 +555,10 @@ def nba_to_dpa(nba: NBA) -> DPA:
     on transitions, converted to state-based max-parity by pairing each
     tree with the priority of its incoming transition.  Merged and
     pruned NBA states leave the trees fewer labels to tell apart, which
-    usually, though not always, gives a smaller DPA.  Either way the automaton is reduced by ``dpa_quotient``,
-    which merges the pairs of tree and priority that repeat one state's
-    behaviour, and its colors are compressed last.
+    usually, though not always, gives a smaller DPA.  Either way the
+    automaton is then made small by ``_minimize``: Moore quotient, least
+    priorities, and the quotient again while the recoloring lets more
+    states merge.
     """
     nba = nba_simulation_reduce(nba)
     letters = all_letters(nba.props)
@@ -598,70 +602,123 @@ def nba_to_dpa(nba: NBA) -> DPA:
             edges[(tree_index[node], letter)] = (tree_index[nxt], priority)
     # Convert transition priorities to state colors (max parity).
     k_even = max_priority if max_priority % 2 == 0 else max_priority + 1
-    state_index: dict = {}
-    order: list = []
-    delta: dict = {}
-
-    def get_state(tree_id: int, priority: int) -> int:
-        key2 = (tree_id, priority)
-        if key2 not in state_index:
-            state_index[key2] = len(order)
-            order.append(key2)
-        return state_index[key2]
-
-    initial = get_state(0, neutral)
-    pos = 0
-    while pos < len(order):
-        tree_id, _priority = order[pos]
-        src = pos
-        pos += 1
+    state_index: dict = {(0, neutral): 0}
+    order: list = [(0, neutral)]
+    rows: list = []
+    for tree_id, _priority in order:  # grows while it is walked
+        row = []
         for letter in letters:
-            nxt_tree, nxt_priority = edges[(tree_id, letter)]
-            delta[(src, letter)] = get_state(nxt_tree, nxt_priority)
-    color = tuple(k_even - priority for _, priority in order)
-    return normalize_colors(
-        dpa_quotient(DPA(nba.props, len(order), initial, delta, color))
-    )
+            key = edges[(tree_id, letter)]
+            target = state_index.get(key)
+            if target is None:
+                target = state_index[key] = len(order)
+                order.append(key)
+            row.append(target)
+        rows.append(tuple(row))
+    color = [k_even - priority for _, priority in order]
+    return _minimize(nba.props, letters, rows, color, 0)
 
 
 def _dba_to_dpa(nba: NBA, letters) -> DPA:
     """A deterministic Buechi automaton as a max-parity automaton; a
     letter without a successor leads to a rejecting sink."""
     sink = nba.n_states
-    delta: dict = {}
-    for q in range(nba.n_states):
-        for letter in letters:
-            succs = nba.transitions[(q, letter)]
-            delta[(q, letter)] = succs[0] if succs else sink
+    rows = [
+        tuple([
+            succs[0] if succs else sink
+            for succs in [nba.transitions[(q, letter)] for letter in letters]
+        ])
+        for q in range(nba.n_states)
+    ]
     color = [2 if q in nba.accepting else 1 for q in range(nba.n_states)]
-    if sink in delta.values():
-        for letter in letters:
-            delta[(sink, letter)] = sink
+    if any(sink in row for row in rows):
+        rows.append((sink,) * len(letters))
         color.append(1)
-    dpa = DPA(nba.props, len(color), nba.initial, delta, tuple(color))
-    return normalize_colors(dpa_quotient(dpa))
+    return _minimize(nba.props, letters, rows, color, nba.initial)
+
+
+def _minimize(props, letters, rows: list, color: list, initial: int) -> DPA:
+    """The parity automaton with successor rows and colors, made small.
+
+    The Moore quotient comes first.  Then every state gets its least
+    priority (``graphs.least_priorities``), which keeps the parity of
+    every cycle and so the language.  When that gives one color to
+    states that had different ones, the quotient can merge more, so it
+    runs again and the new automaton is recolored, until the number of
+    states stays the same.  Otherwise two states the quotient kept apart
+    still differ in color somewhere on every word that told them apart,
+    and nothing more can merge.  No step adds a state or a color.
+    """
+    rows, color, initial = _quotient(rows, color, initial)
+    while True:
+        least = least_priorities(rows, color)
+        coarser = len(set(least)) < len(set(zip(least, color)))
+        color = least
+        if not coarser:
+            break
+        n_states = len(rows)
+        rows, color, initial = _quotient(rows, color, initial)
+        if len(rows) == n_states:
+            break
+    return _from_rows(props, letters, rows, color, initial)
+
+
+def dpa_minimize(d: DPA) -> DPA:
+    """``dpa_quotient`` followed by least priorities and, while they let
+    more states merge, the quotient again; see ``_minimize``."""
+    letters = all_letters(d.props)
+    return _minimize(d.props, letters, _rows(d, letters), d.color, d.initial)
 
 
 def dpa_quotient(d: DPA) -> DPA:
     """Merge states that no run can tell apart by its colors.
 
-    Moore partition refinement: start from the partition by color and
-    split blocks by the blocks of their successors under each letter
-    until nothing splits.  Merged states see the same colors on every
-    word, so the quotient accepts the same language; it stays complete
-    and deterministic.  Blocks are numbered in breadth-first order from
-    the initial state, letters in alphabet order; when nothing merges, the
-    automaton is returned as it is.
+    Blocks are numbered in breadth-first order from the initial state,
+    letters in alphabet order; when nothing merges, the automaton is
+    returned as it is.  See ``_quotient``.
     """
-    by_color = {c: i for i, c in enumerate(sorted(set(d.color)))}
-    if len(by_color) == d.n_states:
-        return d
     letters = all_letters(d.props)
-    rows = [
+    rows = _rows(d, letters)
+    merged, color, initial = _quotient(rows, d.color, d.initial)
+    if merged is rows:
+        return d
+    return _from_rows(d.props, letters, merged, color, initial)
+
+
+def _rows(d: DPA, letters) -> list:
+    """Each state's successors, one per letter in the order given."""
+    return [
         tuple([d.delta[(q, letter)] for letter in letters])
         for q in range(d.n_states)
     ]
-    block = [by_color[c] for c in d.color]
+
+
+def _from_rows(props, letters, rows: list, color, initial: int) -> DPA:
+    delta = {
+        (q, letter): t
+        for q, row in enumerate(rows)
+        for letter, t in zip(letters, row)
+    }
+    return DPA(props, len(rows), initial, delta, tuple(color))
+
+
+def _quotient(rows: list, color, initial: int):
+    """Moore partition refinement of a parity automaton given by its
+    successor rows (one target per letter) and colors.
+
+    Start from the partition by color and split blocks by the blocks of
+    their successors under each letter until nothing splits.  Merged
+    states see the same colors on every word, so the quotient accepts
+    the same language; it stays complete and deterministic.  Returns
+    (rows, color, initial) of the quotient, with blocks numbered
+    breadth-first from the initial one, or the arguments themselves when
+    nothing merges.
+    """
+    n_states = len(rows)
+    by_color = {c: i for i, c in enumerate(sorted(set(color)))}
+    if len(by_color) == n_states:
+        return rows, color, initial
+    block = [by_color[c] for c in color]
     n_blocks = len(by_color)
     while True:
         sigs: dict = {}
@@ -669,29 +726,28 @@ def dpa_quotient(d: DPA) -> DPA:
             sigs.setdefault((block[q], *[block[t] for t in row]), len(sigs))
             for q, row in enumerate(rows)
         ]
-        if len(sigs) == d.n_states:
-            return d
+        if len(sigs) == n_states:
+            return rows, color, initial
         if len(sigs) == n_blocks:
             break
         block, n_blocks = refined, len(sigs)
     member: dict = {}
-    for q in range(d.n_states):
+    for q in range(n_states):
         member.setdefault(block[q], q)
-    number = {block[d.initial]: 0}
-    queue = deque((block[d.initial],))
-    delta: dict = {}
-    while queue:
-        b = queue.popleft()
-        for letter, t in zip(letters, rows[member[b]]):
+    number = {block[initial]: 0}
+    order = [block[initial]]
+    merged = []
+    for b in order:  # grows while it is walked
+        row = []
+        for t in rows[member[b]]:
             target = block[t]
-            if target not in number:
-                number[target] = len(number)
-                queue.append(target)
-            delta[(number[b], letter)] = number[target]
-    color = [0] * len(number)
-    for b, i in number.items():
-        color[i] = d.color[member[b]]
-    return DPA(d.props, len(number), 0, delta, tuple(color))
+            i = number.get(target)
+            if i is None:
+                i = number[target] = len(order)
+                order.append(target)
+            row.append(i)
+        merged.append(tuple(row))
+    return merged, [color[member[b]] for b in order], 0
 
 
 def dpa_complement(d: DPA) -> DPA:

@@ -23,6 +23,11 @@ formula's and the system's propositions: the system as a Buechi
 automaton, intersected over the full product state space with the
 complement automaton, then searched for emptiness.
 
+reference_reduce_game and reference_color_game are the product games
+built from every arena vertex: the breadth-first walk is seeded with
+(v, initial), resp. ('pick', v, initial), for every vertex v in arena
+order, so that node is numbered by v's position.
+
 reference_from_rldl is the eager alternating-automaton compiler: every
 subformula and guard block gets states over every letter, a complement
 is a copied dual of everything its state reaches, and a final pass
@@ -714,3 +719,54 @@ def _prune(a: APA) -> APA:
             )
     color = tuple(a.color[q] for q in order)
     return APA(a.props, len(order), index[a.initial], delta, color)
+
+
+def reference_reduce_game(graph, dpa):
+    """The product of an arena with a DPA from every (v, initial)."""
+    from robusttl.games import ParityGame
+
+    keep = frozenset(dpa.props)
+    back = [(v, dpa.initial) for v in graph.vertices]
+    index = {node: i for i, node in enumerate(back)}
+    owner, edges, color = [], [], []
+    for v, q in back:  # grows while it is walked
+        q2 = dpa.step(q, graph.labels[v] & keep)
+        out = []
+        for v2 in graph.edges[v]:
+            node = (v2, q2)
+            if node not in index:
+                index[node] = len(back)
+                back.append(node)
+            out.append(index[node])
+        edges.append(tuple(out))
+        owner.append(graph.owner[v])
+        color.append(dpa.color[q])
+    return ParityGame.numbered(owner, edges, color), back
+
+
+def reference_color_game(graph, dpa, color_prop):
+    """The recoloring game of an arena from every ('pick', v, initial)."""
+    from robusttl.games import ParityGame
+
+    keep = frozenset(dpa.props) - {color_prop}
+    back = [("pick", v, dpa.initial) for v in graph.vertices]
+    index = {node: i for i, node in enumerate(back)}
+    owner, edges, color = [], [], []
+    for kind, v, q in back:  # grows while it is walked
+        if kind == "pick":
+            label = graph.labels[v] & keep
+            succs = [("move", v, dpa.step(q, letter)) for letter in (label, label | {color_prop})]
+            owner.append(0)
+            color.append(dpa.color[q])
+        else:
+            succs = [("pick", v2, q) for v2 in graph.edges[v]]
+            owner.append(graph.owner[v])
+            color.append(0)
+        out = []
+        for node in succs:
+            if node not in index:
+                index[node] = len(back)
+                back.append(node)
+            out.append(index[node])
+        edges.append(tuple(out))
+    return ParityGame.numbered(owner, edges, color), back

@@ -497,3 +497,26 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1111\n"
+
+
+def test_synth_with_a_broken_strategy_exits_three(monkeypatch, tmp_path, capsys):
+    import robusttl.games as games
+
+    solve = games.solve_parity
+
+    def without_moves(game):
+        win0, win1, _strat0, strat1 = solve(game)
+        return win0, win1, {}, strat1
+
+    monkeypatch.setattr(games, "solve_parity", without_moves)
+    path = tmp_path / "game.txt"
+    path.write_text(FORCED_GAME, encoding="utf-8")
+    code, out, err = run(
+        ["synth", "--game", str(path), "--logic", "rldl", "--formula", "[tt*] p",
+         "--beta", "1111", "--vertex", "a"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: AssertionError: internal error: strategy")
+    assert "Traceback" not in err

@@ -1,15 +1,25 @@
 """Parity-game solving, arena reductions, and strategy extraction."""
 
 import pytest
-from _oracles import brute_force_winner, every_cycle_even, reference_solve_parity
+from _oracles import (
+    brute_force_winner,
+    every_cycle_even,
+    reference_color_game,
+    reference_reduce_game,
+    reference_solve_parity,
+)
 
-from robusttl.formulas import LogicId, LogicViolationError
+from robusttl.formulas import And, LogicId, LogicViolationError, propositions
 from robusttl.games import (
     GameFormatError,
     LabeledGameGraph,
     MealyStrategy,
     ParityGame,
     TerminalVertexError,
+    _changes_infinitely,
+    _checked_reach,
+    _color_game,
+    _fresh_prop,
     parse_labeled_game,
     play_lasso,
     reduce_game,
@@ -19,9 +29,11 @@ from robusttl.games import (
     solve_rprompt_game,
 )
 from robusttl.gen import make_rng, random_labeled_game, random_parity_game
-from robusttl.omega import rldl_to_dpa
+from robusttl.modelcheck import relax_prompt
+from robusttl.omega import ldl_to_dpa, rldl_to_dpa
 from robusttl.parser import parse
 from robusttl.semantics import eval_prompt_ltl, eval_rldl
+from robusttl.translate import ltl_surface_to_ldl
 from robusttl.truth import from_string as B
 
 
@@ -170,6 +182,9 @@ def test_solver_regions_independent_of_vertex_names(kind):
 
 
 def test_reduce_game_size_and_colors():
+    # The game holds exactly the product nodes reachable from the start
+    # node, numbered from 0 with the start first, with the colors of the
+    # automaton, the owners of the arena and the automaton's moves.
     graph = parse_labeled_game(
         """
         v a 0 { p }
@@ -181,15 +196,92 @@ def test_reduce_game_size_and_colors():
     )
     phi = parse("[tt*] p", LogicId.RLDL)
     dpa = rldl_to_dpa(phi, B("1111"), ["p"])
-    game, back = reduce_game(graph, dpa)
-    assert len(game.vertices) <= len(graph.vertices) * len(dpa.states())
-    assert game.vertices == tuple(range(len(back)))
-    for v in graph.vertices:
-        assert (v, dpa.initial) in back
+    for start, vertex in enumerate(graph.vertices):
+        game, back = reduce_game(graph, dpa, start)
+        assert len(game.vertices) <= len(graph.vertices) * len(dpa.states())
+        assert game.vertices == tuple(range(len(back)))
+        assert back[0] == (vertex, dpa.initial)
+        assert len(set(back)) == len(back)
+        reach = {back[0]}
+        work = [back[0]]
+        while work:
+            v, q = work.pop()
+            for v2 in graph.edges[v]:
+                node = (v2, dpa.step(q, graph.labels[v]))
+                if node not in reach:
+                    reach.add(node)
+                    work.append(node)
+        assert set(back) == reach
+        for i in game.vertices:
+            v, q = back[i]
+            assert game.color[i] == dpa.color[q]
+            assert game.owner[i] == graph.owner[v]
+            q2 = dpa.step(q, graph.labels[v])
+            assert [back[j] for j in game.edges[i]] == [(v2, q2) for v2 in graph.edges[v]]
+
+
+def check_start_game(game, back, reference, reference_back, start):
+    """The start game is the part of the reference game that node start
+    reaches, and each of its nodes is won by the same player."""
+    assert set(game.vertices) == _reachable_from(game, 0)
+    position = {node: i for i, node in enumerate(reference_back)}
+    assert position[back[0]] == start
     for i in game.vertices:
-        v, q = back[i]
-        assert game.color[i] == dpa.color[q]
-        assert game.owner[i] == graph.owner[v]
+        r = position[back[i]]
+        assert game.owner[i] == reference.owner[r]
+        assert game.color[i] == reference.color[r]
+        assert [back[j] for j in game.edges[i]] == [reference_back[j] for j in reference.edges[r]]
+    reached = {position[node] for node in back}
+    assert reached == _reachable_from(reference, start)
+    win0 = solve_parity(game)[0]
+    reference_win0 = solve_parity(reference)[0]
+    for i in game.vertices:
+        assert (i in win0) == (position[back[i]] in reference_win0)
+
+
+def _reachable_from(game, start) -> set:
+    seen = {start}
+    work = [start]
+    while work:
+        for j in game.edges[work.pop()]:
+            if j not in seen:
+                seen.add(j)
+                work.append(j)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_start_products_match_all_vertex_reference(seed):
+    rng = make_rng(seed + 1300)
+    graph = random_labeled_game(rng, rng.randint(2, 6), ("p", "q"))
+    for text in ("[tt*] <tt*> p", "[tt*] (p -> <tt*> q)", "<tt*> [tt*] !q"):
+        phi = parse(text, LogicId.RLDL)
+        for beta in (B("1111"), B("0011"), B("0001")):
+            dpa = rldl_to_dpa(phi, beta, ["p", "q"])
+            reference, reference_back = reference_reduce_game(graph, dpa)
+            for start, vertex in enumerate(graph.vertices):
+                game, back = reduce_game(graph, dpa, start)
+                check_start_game(game, back, reference, reference_back, start)
+                winner = solve_rldl_game(graph, phi, beta, vertex).winner
+                assert (winner == 0) == (start in solve_parity(reference)[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_start_color_games_match_all_vertex_reference(seed):
+    rng = make_rng(seed + 1400)
+    graph = random_labeled_game(rng, rng.randint(2, 5), ("s", "q"))
+    for text in ("G Fp s", "Fp G s", "G (!q | Fp s)"):
+        psi = parse(text, LogicId.PROMPT_LTL)
+        color_prop = _fresh_prop(propositions(psi) | graph.propositions)
+        relaxed = ltl_surface_to_ldl(relax_prompt(psi, color_prop))
+        objective = And(relaxed, _changes_infinitely(color_prop))
+        dpa = ldl_to_dpa(objective, sorted([*propositions(psi), color_prop]))
+        reference, reference_back = reference_color_game(graph, dpa, color_prop)
+        for start, vertex in enumerate(graph.vertices):
+            game, back = _color_game(graph, dpa, color_prop, start)
+            check_start_game(game, back, reference, reference_back, start)
+            winner = solve_prompt_game(graph, psi, vertex).winner
+            assert (winner == 0) == (start in solve_parity(reference)[0])
 
 
 SAFETY = parse("[tt*] p", LogicId.RLDL)
@@ -374,6 +466,31 @@ def test_parse_labeled_game_rejects_malformed(text):
         parse_labeled_game(text)
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("v a 2 { }", "malformed vertex line: 'v a 2 { }'"),
+        ("v a 0 p", "malformed vertex line: 'v a 0 p'"),
+        ("v a { }", "malformed vertex line: 'v a { }'"),
+        ("v a 0 { p }\nv a 1 { }", "duplicate vertex 'a'"),
+        ("v a 0 { }\ne a b", "edge references unknown vertex: 'e a b'"),
+        ("v a 0 { }\ne a a a", "malformed edge line: 'e a a a'"),
+        ("v a 0 { }\nedge a a", "unrecognized line: 'edge a a'"),
+    ],
+)
+def test_parse_labeled_game_error_messages(text, message):
+    with pytest.raises(GameFormatError) as info:
+        parse_labeled_game(text)
+    assert str(info.value) == message
+
+
+def test_parse_labeled_game_keeps_edge_order():
+    graph = parse_labeled_game(
+        "v a 0 { }\nv b 1 { p }\ne a b\ne b b\ne a a # self-loop last\ne b a"
+    )
+    assert graph.edges == {"a": ("b", "a"), "b": ("b", "a")}
+
+
 def test_parse_labeled_game_rejects_terminal_vertex():
     with pytest.raises(TerminalVertexError):
         parse_labeled_game("v a 0 { }")
@@ -490,3 +607,41 @@ def test_strategies_hold_only_reachable_entries(seed):
         assert set(strategy.choice) == zero
         if result.bound is not None:
             assert result.bound == 2 * (len(strategy.update) + 1)
+
+
+def test_strategy_check_rejects_a_flipped_move():
+    # Player 0 picks at node 0 between an even loop at 1 and an odd loop at 2.
+    game = ParityGame.numbered([0, 0, 0], [(1, 2), (1,), (2,)], [0, 2, 1])
+    strat0 = solve_parity(game)[2]
+    assert _checked_reach(game, strat0) == [0, 1]
+    for bad in ({**strat0, 0: 2}, {**strat0, 0: 0}, {1: 1, 2: 2}):
+        with pytest.raises(AssertionError, match="^internal error: "):
+            _checked_reach(game, bad)
+
+
+def test_strategy_check_rejects_a_flipped_color():
+    # On products the solver won: the reached nodes pass the check, and
+    # giving one node that a play repeats an odd color above the rest
+    # makes it fail.
+    checked = 0
+    for seed in range(12):
+        rng = make_rng(seed + 1500)
+        graph = random_labeled_game(rng, rng.randint(2, 5), ("p", "q"))
+        dpa = rldl_to_dpa(parse("[tt*] (p -> <tt*> q)"), B("0011"), ["p", "q"])
+        game, _back = reduce_game(graph, dpa, 0)
+        win0, _win1, strat0, _strat1 = solve_parity(game)
+        if 0 not in win0:
+            continue
+        _checked_reach(game, strat0)
+        seen = []
+        i = 0
+        while i not in seen:
+            seen.append(i)
+            i = strat0[i] if game.owner[i] == 0 else game.edges[i][-1]
+        top = max(game.color.values())
+        color = {**game.color, i: top + 1 + top % 2}
+        flipped = ParityGame(game.vertices, game.owner, game.edges, color)
+        with pytest.raises(AssertionError, match="^internal error: "):
+            _checked_reach(flipped, strat0)
+        checked += 1
+    assert checked >= 4

@@ -72,6 +72,33 @@ def test_parse_errors(text):
         parse_transition_system(text)
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("state a { p }\nedge a a", "no init state declared"),
+        ("state a init { p }\nstate b init { }", "multiple init states"),
+        ("state a init { p }\nstate a { }", "duplicate state 'a'"),
+        ("state a init { p }\nedge a b", "edge references unknown state: 'edge a b'"),
+        ("state a init { p }\nedge a", "malformed edge line: 'edge a'"),
+        ("state a init { p }\nfoo a", "unrecognized line: 'foo a'"),
+        ("state a init p }", "malformed state line: 'state a init p }'"),
+        ("state a start { }", "malformed state line: 'state a start { }'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(SystemFormatError) as info:
+        parse_transition_system(text)
+    assert str(info.value) == message
+
+
+def test_parse_keeps_edge_order():
+    ts = parse_transition_system(
+        "state a init { }\nstate b { p }\nstate c { q }\n"
+        "edge a c\nedge b a\nedge a b\nedge c c\nedge a a"
+    )
+    assert ts.edges == {"a": ("c", "b", "a"), "b": ("a",), "c": ("c",)}
+
+
 def test_terminal_state_rejected():
     ts = TransitionSystem(("a",), "a", {"a": ()}, {"a": frozenset()})
     with pytest.raises(TerminalStateError):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from _oracles import reference_direct_simulation, unpruned_apa_to_nba
@@ -18,6 +19,7 @@ from robusttl.omega import (
     dpa_accepts_lasso,
     dpa_complement,
     direct_simulation,
+    dpa_minimize,
     dpa_quotient,
     ldl_to_dpa,
     nba_accepts_lasso,
@@ -368,3 +370,54 @@ def test_deterministic_nba_with_missing_letter_gets_rejecting_sink():
     for _ in range(40):
         w = random_lasso(rng, PQ)
         assert dpa_accepts_lasso(dpa, w) == nba_accepts_lasso(nba, w), w
+
+
+def random_dpa(rng, n_states: int) -> DPA:
+    delta = {
+        (q, a): rng.randrange(n_states)
+        for q in range(n_states)
+        for a in all_letters(PQ)
+    }
+    color = tuple(rng.randint(0, 5) for _ in range(n_states))
+    return DPA(PQ, n_states, 0, delta, color)
+
+
+def test_least_priorities_keep_language_and_never_grow():
+    # 200 random complete DPAs with 1-12 states, started from every state:
+    # the recolored and quotiented automaton accepts the same lassos as
+    # the input, and has no more states and colors than the quotient.
+    rng = make_rng(808)
+    shrank = 0
+    for i in range(200):
+        dpa = random_dpa(rng, rng.randint(1, 12))
+        lassos = [random_lasso(rng, PQ) for _ in range(12)]
+        for q in dpa.states():
+            start = replace(dpa, initial=q)
+            small = dpa_minimize(start)
+            quotient = dpa_quotient(start)
+            assert small.n_states <= quotient.n_states, (i, q)
+            assert max(small.color) <= max(quotient.color), (i, q)
+            assert len(small.delta) == small.n_states * 4
+            shrank += small.n_states < quotient.n_states
+            for w in lassos:
+                assert dpa_accepts_lasso(small, w) == dpa_accepts_lasso(start, w), (i, q, w)
+    assert shrank
+
+
+def test_recurrent_response_dpa_has_few_states_and_colors():
+    dpa = rldl_to_dpa(parse("[tt*] (p -> <tt*> q)"), from_string("0011"), PQ)
+    assert dpa.n_states <= 236
+    assert max(dpa.color) + 1 <= 3
+
+
+def test_recurrence_dpa_after_least_priorities():
+    dpa = rldl_to_dpa(parse("[tt*] <tt*> p"), from_string("0011"), PQ)
+    assert dpa.n_states <= 10
+
+
+def test_transient_state_merges_with_same_successor_state():
+    # A deterministic Buechi automaton whose accepting state is on no
+    # cycle: with its successor's priority it merges with the rejecting
+    # state of the same successors.
+    dpa = rldl_to_dpa(parse("([(((!u))*)] (!b -> (!b & u)))"), from_string("0001"))
+    assert dpa.n_states == 2
