@@ -8,7 +8,9 @@ propositional formulas or tests of formulas.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter, is_not
 
 
 class LogicId(enum.Enum):
@@ -215,6 +217,56 @@ class Star(Guard):
 # The guard denoting the empty-word language.
 EPSILON_GUARD = Star(Prop(Ff()))
 
+# The fields that rewrite descends into, per node class, in constructor
+# order: every subformula and subguard, but not the propositional formula
+# of a guard atom.
+_PARTS = {
+    **dict.fromkeys((Tt, Ff, Atom, NegAtom, Prop), lambda node: ()),
+    **dict.fromkeys(
+        (Not, Next, Eventually, Always, PromptEventually, Star),
+        lambda node: (node.arg,),
+    ),
+    **dict.fromkeys(
+        (And, Or, Implies, Until, Release, Alt, Concat), attrgetter("left", "right")
+    ),
+    **dict.fromkeys((Diamond, Box, PromptDiamond), attrgetter("guard", "arg")),
+    Test: lambda node: (node.formula,),
+}
+
+
+def rewrite(phi: Formula, rule: Callable[[Formula], Formula]) -> Formula:
+    """Rebuild phi bottom-up, replacing every formula node by its rule.
+
+    Each node is first rebuilt from its rewritten fields (a node whose
+    fields all come back unchanged is kept as it is), and a formula node
+    is then replaced by ``rule(rebuilt)``.  Test formulas inside guards
+    are rewritten too; the propositional atoms of guards are not.  Equal
+    subformulas are rewritten once per call.  The walk keeps its own
+    stack, so deep nesting does not reach the recursion limit.
+    """
+    done: dict = {}  # node -> its rewrite, or None for the node itself
+    stack: list = [(phi, None)]
+    while stack:
+        node, parts = stack.pop()
+        if parts is None:
+            if node in done:
+                continue
+            parts = _PARTS[type(node)](node)
+            if parts:
+                # Back to the node once its parts are done.
+                stack.append((node, parts))
+                stack.extend((part, None) for part in reversed(parts))
+                continue
+        out = node
+        if parts:
+            new = [done[part] or part for part in parts]
+            if any(map(is_not, new, parts)):
+                out = type(node)(*new)
+        if isinstance(out, Formula):
+            out = rule(out)
+        done[node] = None if out is node else out
+    return done[phi] or phi
+
 
 def _children(phi: Formula) -> tuple[Formula, ...]:
     if isinstance(phi, (Not, Next, Eventually, Always, PromptEventually)):
@@ -280,8 +332,11 @@ def size(phi: Formula) -> int:
     return len(closure(phi)) + guards_total
 
 
-def propositions(phi: Formula) -> frozenset[str]:
-    """All atomic propositions occurring in a formula (guards included)."""
+def propositions(phi: Formula | Guard) -> frozenset[str]:
+    """All atomic propositions occurring in a formula or a guard.
+
+    Guard atoms and tests count, as do the guards inside a formula.
+    """
     out: set[str] = set()
     stack: list[Formula | Guard] = [phi]
     while stack:

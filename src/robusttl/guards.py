@@ -29,6 +29,7 @@ from .formulas import (
     Test,
     Tt,
 )
+from .graphs import sccs
 
 
 class HasTestsError(ValueError):
@@ -389,65 +390,25 @@ def is_limit_matching(guard: Guard, props=None) -> bool:
 
     Decided on the determinized guard automaton read with Buechi
     acceptance on its final states: the guard is limit-matching exactly
-    when no reachable cycle avoids the final states.
+    when no cycle avoids the final states, that is when every component
+    of the non-final states is one state without a self-loop.  Every
+    state of the automaton is reachable.
     """
-    from .formulas import guard_tests, propositions as formula_props
+    from .formulas import guard_tests, propositions
 
     if guard_tests(guard):
         msg = "limit-matching is defined for test-free guards only"
         raise HasTestsError(msg)
     if props is None:
-        props = sorted(
-            {p for f in _guard_prop_formulas(guard) for p in formula_props(f)}
-        )
+        props = sorted(propositions(guard))
     dfa = determinize(thompson(guard), props)
     alphabet = all_letters(dfa.props)
-    reachable = {dfa.initial}
-    queue = [dfa.initial]
-    while queue:
-        q = queue.pop()
-        for letter in alphabet:
-            q2 = dfa.step(q, letter)
-            if q2 not in reachable:
-                reachable.add(q2)
-                queue.append(q2)
-    # Cycle detection within reachable non-final states.
-    nodes = sorted(reachable - dfa.finals)
     succ = {
-        q: {dfa.step(q, letter) for letter in alphabet} & set(nodes)
-        for q in nodes
+        q: {dfa.step(q, letter) for letter in alphabet} - dfa.finals
+        for q in range(dfa.n_states)
+        if q not in dfa.finals
     }
-    color: dict[int, int] = {}
-
-    def has_cycle(q: int) -> bool:
-        stack = [(q, iter(sorted(succ[q])))]
-        color[q] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt) == 1:
-                    return True
-                if nxt not in color:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(sorted(succ[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-        return False
-
-    return not any(q not in color and has_cycle(q) for q in nodes)
-
-
-def _guard_prop_formulas(guard: Guard):
-    if isinstance(guard, Prop):
-        yield guard.formula
-    elif isinstance(guard, Test):
-        yield guard.formula
-    elif isinstance(guard, (Alt, Concat)):
-        yield from _guard_prop_formulas(guard.left)
-        yield from _guard_prop_formulas(guard.right)
-    elif isinstance(guard, Star):
-        yield from _guard_prop_formulas(guard.arg)
+    return all(
+        len(comp) == 1 and comp[0] not in succ[comp[0]]
+        for comp in sccs(succ, succ.__getitem__)
+    )

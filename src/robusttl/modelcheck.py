@@ -13,37 +13,27 @@ from dataclasses import dataclass
 from .formulas import (
     And,
     Atom,
-    Box,
     Diamond,
-    Ff,
+    Eventually,
     Formula,
+    Guard,
+    Implies,
     LogicId,
+    LogicViolationError,
     NegAtom,
-    Next,
+    Not,
     Or,
     PromptDiamond,
     PromptEventually,
     Prop,
-    Release,
     Star,
-    Test,
-    Tt,
     Until,
-    Always,
-    Eventually,
-    Guard,
-    LogicViolationError,
     propositions,
     require_logic,
+    rewrite,
 )
 from .graphs import read_graph_text
-from .guards import (
-    _guard_prop_formulas,
-    determinize,
-    dfa_product,
-    extract_regex,
-    thompson,
-)
+from .guards import determinize, dfa_product, extract_regex, thompson
 from .semantics import eval_rldl
 from .traces import LassoTrace
 from .truth import BOTTOM, TOP, TruthValue4
@@ -253,71 +243,28 @@ def relax_prompt(psi: Formula, color_prop: str) -> Formula:
     """
     c = Atom(color_prop)
     nc = NegAtom(color_prop)
-    memo: dict = {}
 
-    def rec(f: Formula) -> Formula:
-        if f in memo:
-            return memo[f]
-        if isinstance(f, (Tt, Ff, Atom, NegAtom)):
-            out: Formula = f
-        elif isinstance(f, And):
-            out = And(rec(f.left), rec(f.right))
-        elif isinstance(f, Or):
-            out = Or(rec(f.left), rec(f.right))
-        elif isinstance(f, Next):
-            out = Next(rec(f.arg))
-        elif isinstance(f, Until):
-            out = Until(rec(f.left), rec(f.right))
-        elif isinstance(f, Release):
-            out = Release(rec(f.left), rec(f.right))
-        elif isinstance(f, Eventually):
-            out = Eventually(rec(f.arg))
-        elif isinstance(f, Always):
-            out = Always(rec(f.arg))
-        elif isinstance(f, PromptEventually):
-            arg = rec(f.arg)
-            out = Or(
-                And(c, Until(c, Until(nc, arg))),
-                And(nc, Until(nc, Until(c, arg))),
+    def rule(f: Formula) -> Formula:
+        if isinstance(f, PromptEventually):
+            return Or(
+                And(c, Until(c, Until(nc, f.arg))),
+                And(nc, Until(nc, Until(c, f.arg))),
             )
-        elif isinstance(f, Diamond):
-            out = Diamond(rec_guard(f.guard), rec(f.arg))
-        elif isinstance(f, Box):
-            out = Box(rec_guard(f.guard), rec(f.arg))
-        elif isinstance(f, PromptDiamond):
-            out = Diamond(
-                _window_guard(f.guard, color_prop), rec(f.arg)
-            )
-        else:
+        if isinstance(f, PromptDiamond):
+            return Diamond(_window_guard(f.guard, color_prop), f.arg)
+        if isinstance(f, (Not, Implies)):
             msg = f"unsupported node {type(f).__name__}"
             raise ValueError(msg)
-        memo[f] = out
-        return out
+        return f
 
-    def rec_guard(g: Guard) -> Guard:
-        if isinstance(g, Prop):
-            return g
-        if isinstance(g, Test):
-            return Test(rec(g.formula))
-        if isinstance(g, Star):
-            return Star(rec_guard(g.arg))
-        return type(g)(rec_guard(g.left), rec_guard(g.right))
-
-    return rec(psi)
+    return rewrite(psi, rule)
 
 
 def _window_guard(guard: Guard, color_prop: str) -> Guard:
     """Intersect a test-free guard with 'at most one color change'."""
     from .formulas import Alt, Concat
 
-    props = sorted(
-        {
-            p
-            for f in _guard_prop_formulas(guard)
-            for p in propositions(f)
-        }
-        | {color_prop}
-    )
+    props = sorted(propositions(guard) | {color_prop})
     c = Prop(Atom(color_prop))
     nc = Prop(NegAtom(color_prop))
     pattern = Alt(Concat(Star(c), Star(nc)), Concat(Star(nc), Star(c)))
@@ -330,32 +277,14 @@ def _window_guard(guard: Guard, color_prop: str) -> Guard:
 def _limit_prompt(psi: Formula) -> Formula:
     """Unbounded relaxation: prompt operators lose their bound."""
 
-    def rec(f: Formula) -> Formula:
-        if isinstance(f, (Tt, Ff, Atom, NegAtom)):
-            return f
-        if isinstance(f, (And, Or, Until, Release)):
-            return type(f)(rec(f.left), rec(f.right))
-        if isinstance(f, (Next, Eventually, Always)):
-            return type(f)(rec(f.arg))
+    def rule(f: Formula) -> Formula:
         if isinstance(f, PromptEventually):
-            return Eventually(rec(f.arg))
-        if isinstance(f, (Diamond, Box)):
-            return type(f)(rec_guard(f.guard), rec(f.arg))
+            return Eventually(f.arg)
         if isinstance(f, PromptDiamond):
-            return Diamond(rec_guard(f.guard), rec(f.arg))
-        msg = f"unsupported node {type(f).__name__}"
-        raise ValueError(msg)
+            return Diamond(f.guard, f.arg)
+        return f
 
-    def rec_guard(g: Guard) -> Guard:
-        if isinstance(g, Prop):
-            return g
-        if isinstance(g, Test):
-            return Test(rec(g.formula))
-        if isinstance(g, Star):
-            return Star(rec_guard(g.arg))
-        return type(g)(rec_guard(g.left), rec_guard(g.right))
-
-    return rec(psi)
+    return rewrite(psi, rule)
 
 
 def _uniform_counterexample(ts: TransitionSystem, psi: Formula) -> LassoTrace:

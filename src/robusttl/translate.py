@@ -8,20 +8,19 @@ limit-matching guards by splitting guards at automaton states.
 """
 from __future__ import annotations
 
+from functools import cache, reduce
+
 from .formulas import (
     Always,
     And,
-    Atom,
     Box,
     Concat,
     Diamond,
     Eventually,
-    Ff,
     Formula,
     Guard,
     Implies,
     LogicId,
-    NegAtom,
     Next,
     Not,
     Or,
@@ -38,15 +37,9 @@ from .formulas import (
     guard_tests,
     propositions,
     require_logic,
+    rewrite,
 )
-from .guards import (
-    _guard_prop_formulas,
-    all_letters,
-    determinize,
-    extract_regex,
-    is_limit_matching,
-    thompson,
-)
+from .guards import determinize, extract_regex, is_limit_matching, thompson
 from .truth import BOTTOM, TOP, TruthValue4, V0011, V0111
 
 
@@ -70,73 +63,34 @@ def rprompt_to_prompt(phi: Formula, beta: TruthValue4) -> Formula:
     returned prompt formula holds under the same bound.
     """
     require_logic(phi, LogicId.RPROMPT_LTL)
-    memo: dict = {}
+    if beta == BOTTOM:
+        return Tt()
 
-    def rec(f: Formula, b: TruthValue4) -> Formula:
-        if b == BOTTOM:
-            return Tt()
-        key = (f, b)
-        if key in memo:
-            return memo[key]
-        if isinstance(f, (Tt, Ff, Atom, NegAtom)):
-            out: Formula = f
-        elif isinstance(f, And):
-            out = And(rec(f.left, b), rec(f.right, b))
-        elif isinstance(f, Or):
-            out = Or(rec(f.left, b), rec(f.right, b))
-        elif isinstance(f, Eventually):
-            out = Eventually(rec(f.arg, b))
-        elif isinstance(f, PromptEventually):
-            out = PromptEventually(rec(f.arg, b))
-        elif isinstance(f, Always):
-            inner = rec(f.arg, b)
-            if b == TOP:
-                out = Always(inner)
-            elif b == V0111:
-                out = Eventually(Always(inner))
-            elif b == V0011:
-                out = Always(Eventually(inner))
-            else:
-                out = Eventually(inner)
-        else:
-            msg = f"unsupported node {type(f).__name__}"
-            raise ValueError(msg)
-        memo[key] = out
-        return out
+    def rule(f: Formula) -> Formula:
+        if not isinstance(f, Always) or beta == TOP:
+            return f
+        if beta == V0111:
+            return Eventually(f)
+        if beta == V0011:
+            return Always(Eventually(f.arg))
+        return Eventually(f.arg)
 
-    return rec(phi, beta)
+    return rewrite(phi, rule)
 
 
 def embed_rltl_in_rldl(phi: Formula) -> Formula:
     """Replace the temporal modalities with trivially guarded ones."""
     require_logic(phi, LogicId.RLTL)
-    memo: dict = {}
     step = Star(Prop(Tt()))
 
-    def rec(f: Formula) -> Formula:
-        if f in memo:
-            return memo[f]
-        if isinstance(f, (Tt, Ff, Atom, NegAtom)):
-            out: Formula = f
-        elif isinstance(f, Not):
-            out = Not(rec(f.arg))
-        elif isinstance(f, And):
-            out = And(rec(f.left), rec(f.right))
-        elif isinstance(f, Or):
-            out = Or(rec(f.left), rec(f.right))
-        elif isinstance(f, Implies):
-            out = Implies(rec(f.left), rec(f.right))
-        elif isinstance(f, Eventually):
-            out = Diamond(step, rec(f.arg))
-        elif isinstance(f, Always):
-            out = Box(step, rec(f.arg))
-        else:
-            msg = f"unsupported node {type(f).__name__}"
-            raise ValueError(msg)
-        memo[f] = out
-        return out
+    def rule(f: Formula) -> Formula:
+        if isinstance(f, Eventually):
+            return Diamond(step, f.arg)
+        if isinstance(f, Always):
+            return Box(step, f.arg)
+        return f
 
-    return rec(phi)
+    return rewrite(phi, rule)
 
 
 def embed_ldl_in_rldl(phi: Formula) -> Formula:
@@ -146,43 +100,13 @@ def embed_ldl_in_rldl(phi: Formula) -> Formula:
     five-valued value of the result agrees with the classical value.
     """
     require_logic(phi, LogicId.LDL)
-    memo: dict = {}
 
-    def rec(f: Formula) -> Formula:
-        if f in memo:
-            return memo[f]
-        if isinstance(f, (Tt, Ff, Atom, NegAtom)):
-            out: Formula = f
-        elif isinstance(f, Not):
-            out = Not(rec(f.arg))
-        elif isinstance(f, And):
-            out = And(rec(f.left), rec(f.right))
-        elif isinstance(f, Or):
-            out = Or(rec(f.left), rec(f.right))
-        elif isinstance(f, Implies):
-            out = Or(Not(rec(f.left)), rec(f.right))
-        elif isinstance(f, Diamond):
-            out = Diamond(rec_guard(f.guard), rec(f.arg))
-        elif isinstance(f, Box):
-            out = Box(rec_guard(f.guard), rec(f.arg))
-        else:
-            msg = f"unsupported node {type(f).__name__}"
-            raise ValueError(msg)
-        memo[f] = out
-        return out
+    def rule(f: Formula) -> Formula:
+        if isinstance(f, Implies):
+            return Or(Not(f.left), f.right)
+        return f
 
-    def rec_guard(g: Guard) -> Guard:
-        if isinstance(g, Prop):
-            return g
-        if isinstance(g, Test):
-            return Test(rec(g.formula))
-        if isinstance(g, Star):
-            return Star(rec_guard(g.arg))
-        left = rec_guard(g.left)
-        right = rec_guard(g.right)
-        return type(g)(left, right)
-
-    return rec(phi)
+    return rewrite(phi, rule)
 
 
 def ltl_surface_to_ldl(phi: Formula) -> Formula:
@@ -192,54 +116,25 @@ def ltl_surface_to_ldl(phi: Formula) -> Formula:
     the guards; eventually and always use the unconstrained iteration.
     Existing guarded modalities are kept, with tests desugared too.
     """
-    memo: dict = {}
     any_step = Star(Prop(Tt()))
 
-    def rec(f: Formula) -> Formula:
-        if f in memo:
-            return memo[f]
-        if isinstance(f, (Tt, Ff, Atom, NegAtom)):
-            out: Formula = f
-        elif isinstance(f, Not):
-            out = Not(rec(f.arg))
-        elif isinstance(f, And):
-            out = And(rec(f.left), rec(f.right))
-        elif isinstance(f, Or):
-            out = Or(rec(f.left), rec(f.right))
-        elif isinstance(f, Implies):
-            out = Implies(rec(f.left), rec(f.right))
-        elif isinstance(f, Next):
-            out = Diamond(Prop(Tt()), rec(f.arg))
-        elif isinstance(f, Until):
-            guard = Star(Concat(Test(rec(f.left)), Prop(Tt())))
-            out = Diamond(guard, rec(f.right))
-        elif isinstance(f, Release):
-            guard = Star(Concat(Test(Not(rec(f.left))), Prop(Tt())))
-            out = Box(guard, rec(f.right))
-        elif isinstance(f, Eventually):
-            out = Diamond(any_step, rec(f.arg))
-        elif isinstance(f, Always):
-            out = Box(any_step, rec(f.arg))
-        elif isinstance(f, Diamond):
-            out = Diamond(rec_guard(f.guard), rec(f.arg))
-        elif isinstance(f, Box):
-            out = Box(rec_guard(f.guard), rec(f.arg))
-        else:
+    def rule(f: Formula) -> Formula:
+        if isinstance(f, Next):
+            return Diamond(Prop(Tt()), f.arg)
+        if isinstance(f, Until):
+            return Diamond(Star(Concat(Test(f.left), Prop(Tt()))), f.right)
+        if isinstance(f, Release):
+            return Box(Star(Concat(Test(Not(f.left)), Prop(Tt()))), f.right)
+        if isinstance(f, Eventually):
+            return Diamond(any_step, f.arg)
+        if isinstance(f, Always):
+            return Box(any_step, f.arg)
+        if isinstance(f, (PromptEventually, PromptDiamond)):
             msg = f"unsupported node {type(f).__name__}"
             raise ValueError(msg)
-        memo[f] = out
-        return out
+        return f
 
-    def rec_guard(g: Guard) -> Guard:
-        if isinstance(g, Prop):
-            return g
-        if isinstance(g, Test):
-            return Test(rec(g.formula))
-        if isinstance(g, Star):
-            return Star(rec_guard(g.arg))
-        return type(g)(rec_guard(g.left), rec_guard(g.right))
-
-    return rec(phi)
+    return rewrite(phi, rule)
 
 
 def _modal_guards(phi: Formula):
@@ -272,41 +167,17 @@ def check_fragment(phi: Formula) -> None:
 
 
 def _split_guard(guard: Guard):
-    """(prefix regex, completion regex) per reachable automaton state.
+    """(prefix regex, completion regex) per automaton state.
 
-    The deterministic guard automaton is split at each reachable state
-    q: the prefix language leads from the start to q, the completion
-    language from q to the final states.
+    The deterministic guard automaton is split at each state q, all of
+    which are reachable: the prefix language leads from the start to q,
+    the completion language from q to the final states.
     """
-    props = sorted(
-        {p for f in _guard_prop_formulas(guard) for p in propositions(f)}
-    )
-    dfa = determinize(thompson(guard), props)
-    alphabet = all_letters(dfa.props)
-    reachable = [dfa.initial]
-    seen = {dfa.initial}
-    pos = 0
-    while pos < len(reachable):
-        q = reachable[pos]
-        pos += 1
-        for letter in alphabet:
-            q2 = dfa.step(q, letter)
-            if q2 not in seen:
-                seen.add(q2)
-                reachable.append(q2)
-    splits = []
-    for q in reachable:
-        prefix = extract_regex(dfa, dfa.initial, {q})
-        completion = extract_regex(dfa, q, dfa.finals)
-        splits.append((prefix, completion))
-    return splits
-
-
-def _fold(parts, smash):
-    out = parts[0]
-    for part in parts[1:]:
-        out = smash(out, part)
-    return out
+    dfa = determinize(thompson(guard), sorted(propositions(guard)))
+    return [
+        (extract_regex(dfa, dfa.initial, {q}), extract_regex(dfa, q, dfa.finals))
+        for q in range(dfa.n_states)
+    ]
 
 
 def fragment_translate(phi: Formula, beta: TruthValue4) -> Formula:
@@ -320,50 +191,16 @@ def fragment_translate(phi: Formula, beta: TruthValue4) -> Formula:
     check_fragment(phi)
     if beta == BOTTOM:
         return Tt()
-    memo: dict = {}
-    split_memo: dict = {}
+    split_guard = cache(_split_guard)
 
-    def splits(g: Guard):
-        if g not in split_memo:
-            split_memo[g] = _split_guard(g)
-        return split_memo[g]
+    def rule(f: Formula) -> Formula:
+        if not isinstance(f, Box) or beta == TOP:
+            return f
+        if beta not in (V0111, V0011):
+            return Diamond(f.guard, f.arg)
+        parts = split_guard(f.guard)
+        if beta == V0111:
+            return reduce(Or, [Diamond(pre, Box(post, f.arg)) for pre, post in parts])
+        return reduce(And, [Box(pre, Diamond(post, f.arg)) for pre, post in parts])
 
-    def rec(f: Formula, b: TruthValue4) -> Formula:
-        key = (f, b)
-        if key in memo:
-            return memo[key]
-        if isinstance(f, (Tt, Ff, Atom, NegAtom)):
-            out: Formula = f
-        elif isinstance(f, And):
-            out = And(rec(f.left, b), rec(f.right, b))
-        elif isinstance(f, Or):
-            out = Or(rec(f.left, b), rec(f.right, b))
-        elif isinstance(f, Diamond):
-            out = Diamond(f.guard, rec(f.arg, b))
-        elif isinstance(f, PromptDiamond):
-            out = PromptDiamond(f.guard, rec(f.arg, b))
-        elif isinstance(f, Box):
-            inner = rec(f.arg, b)
-            if b == TOP:
-                out = Box(f.guard, inner)
-            elif b == V0111:
-                parts = [
-                    Diamond(prefix, Box(completion, inner))
-                    for prefix, completion in splits(f.guard)
-                ]
-                out = _fold(parts, Or)
-            elif b == V0011:
-                parts = [
-                    Box(prefix, Diamond(completion, inner))
-                    for prefix, completion in splits(f.guard)
-                ]
-                out = _fold(parts, And)
-            else:
-                out = Diamond(f.guard, inner)
-        else:
-            msg = f"unsupported node {type(f).__name__}"
-            raise ValueError(msg)
-        memo[key] = out
-        return out
-
-    return rec(phi, beta)
+    return rewrite(phi, rule)

@@ -166,3 +166,148 @@ def eval_prompt_ldl_value(w, k, phi):
 def test_fragment_translate_bottom_is_trivial():
     phi = parse("[tt*] <p tt*> s", LogicId.RPROMPT_LDL)
     assert fragment_translate(phi, BOTTOM) == Tt()
+
+
+# Printed output of every formula translation on hand-picked inputs: a
+# shared subformula, tests inside guards, a guard atom that is itself an
+# implication, and every threshold where one applies.
+_SHARED = "(G Fp s & q) | F G Fp s"
+_FRAGMENT = "[(tt;tt)*] <p tt*> s & ([tt*] s | <tt*> [(tt;tt)*] <p tt*> s)"
+_FRAGMENT_0011 = (
+    "[ff*] <ff* + tt ; tt ; (tt ; tt)*> <p tt*> s"
+    " & [tt ; (tt ; tt)*] <(tt ; tt)* ; tt> <p tt*> s"
+    " & [tt ; tt ; (tt ; tt)*] <(tt ; tt)*> <p tt*> s"
+    " & ([ff*] <ff* + tt ; tt*> s & [tt ; tt*] <tt*> s"
+    " | <tt*> ([ff*] <ff* + tt ; tt ; (tt ; tt)*> <p tt*> s"
+    " & [tt ; (tt ; tt)*] <(tt ; tt)* ; tt> <p tt*> s"
+    " & [tt ; tt ; (tt ; tt)*] <(tt ; tt)*> <p tt*> s))"
+)
+_FRAGMENT_0111 = (
+    "(<ff*> [ff* + tt ; tt ; (tt ; tt)*] <p tt*> s"
+    " | <tt ; (tt ; tt)*> [(tt ; tt)* ; tt] <p tt*> s"
+    " | <tt ; tt ; (tt ; tt)*> [(tt ; tt)*] <p tt*> s)"
+    " & (<ff*> [ff* + tt ; tt*] s | <tt ; tt*> [tt*] s"
+    " | <tt*> (<ff*> [ff* + tt ; tt ; (tt ; tt)*] <p tt*> s"
+    " | <tt ; (tt ; tt)*> [(tt ; tt)* ; tt] <p tt*> s"
+    " | <tt ; tt ; (tt ; tt)*> [(tt ; tt)*] <p tt*> s))"
+)
+_RELAXED = (
+    "(c & c U !c U p | !c & !c U c U p)"
+    " & <ff* + (!c & q) ; (!c & q)* ; (ff* + (c & q) ; (c & q)*)"
+    " + (c & q) ; (c & q)* ; (ff* + (!c & q) ; (!c & q)*)> r"
+    " | G (c & c U !c U p | !c & !c U c U p)"
+)
+
+
+def _implication_atom():
+    from robusttl.formulas import Atom, Diamond, Implies, Prop
+
+    p, q, r, s = (Atom(name) for name in "pqrs")
+    return Diamond(Prop(Implies(p, q)), Implies(r, s))
+
+
+def _translate(name, text, *extra):
+    from robusttl import modelcheck, translate
+
+    fn = getattr(translate, name, None) or getattr(modelcheck, name)
+    phi = text() if callable(text) else parse(text)
+    return format_formula(fn(phi, *extra))
+
+
+@pytest.mark.parametrize(
+    "name, text, extra, expected",
+    [
+        ("rprompt_to_prompt", _SHARED, ("0000",), "tt"),
+        ("rprompt_to_prompt", _SHARED, ("0001",), "F Fp s & q | F F Fp s"),
+        ("rprompt_to_prompt", _SHARED, ("0011",), "G F Fp s & q | F G F Fp s"),
+        ("rprompt_to_prompt", _SHARED, ("0111",), "F G Fp s & q | F F G Fp s"),
+        ("rprompt_to_prompt", _SHARED, ("1111",), "G Fp s & q | F G Fp s"),
+        ("fragment_translate", _FRAGMENT, ("0000",), "tt"),
+        (
+            "fragment_translate", _FRAGMENT, ("0001",),
+            "<(tt ; tt)*> <p tt*> s & (<tt*> s | <tt*> <(tt ; tt)*> <p tt*> s)",
+        ),
+        ("fragment_translate", _FRAGMENT, ("0011",), _FRAGMENT_0011),
+        ("fragment_translate", _FRAGMENT, ("0111",), _FRAGMENT_0111),
+        (
+            "fragment_translate", _FRAGMENT, ("1111",),
+            "[(tt ; tt)*] <p tt*> s & ([tt*] s | <tt*> [(tt ; tt)*] <p tt*> s)",
+        ),
+        (
+            "embed_rltl_in_rldl", "G p -> F (G p & !q)", (),
+            "[tt*] p -> <tt*> ([tt*] p & !q)",
+        ),
+        (
+            "embed_ldl_in_rldl", "<(p ; {q -> r}?)*> (p -> [tt*] q) | !(p -> q)", (),
+            "<(p ; {!q | r}?)*> (!p | [tt*] q) | !(!p | q)",
+        ),
+        ("embed_ldl_in_rldl", _implication_atom, (), "<(p -> q)> (!r | s)"),
+        (
+            "ltl_surface_to_ldl", "(p U X q) R G p | F (p U X q)", (),
+            "[({!<({p}? ; tt)*> <tt> q}? ; tt)*] [tt*] p"
+            " | <tt*> <({p}? ; tt)*> <tt> q",
+        ),
+        (
+            "ltl_surface_to_ldl", "<({X p}? ; q)*> (p U q) & [{G q}?] !q", (),
+            "<({<tt> p}? ; q)*> <({p}? ; tt)*> q & [{[tt*] q}?] !q",
+        ),
+        ("relax_prompt", "Fp p & <p q*> r | G Fp p", ("c",), _RELAXED),
+        (
+            "relax_prompt", "<({Fp q}? ; tt)*> Fp q & [tt*] X q", ("c",),
+            "<({c & c U !c U q | !c & !c U c U q}? ; tt)*>"
+            " (c & c U !c U q | !c & !c U c U q) & [tt*] X q",
+        ),
+        ("_limit_prompt", "Fp p & <p q*> r | G Fp p", (), "F p & <q*> r | G F p"),
+        (
+            "_limit_prompt", "<({Fp q}? ; tt)*> Fp q & [tt*] X q", (),
+            "<({F q}? ; tt)*> F q & [tt*] X q",
+        ),
+    ],
+)
+def test_translation_output_is_pinned(name, text, extra, expected):
+    extra = tuple(from_string(x) if x.isdigit() else x for x in extra)
+    assert _translate(name, text, *extra) == expected
+
+
+def test_translation_rewrites_a_shared_subformula_once():
+    out = rprompt_to_prompt(parse(_SHARED), from_string("0011"))
+    assert out.left.left is out.right.arg
+
+
+def test_translation_keeps_unchanged_nodes():
+    phi = parse("<(p ; {q & <tt> p}?)*> [tt*] q | !p")
+    assert embed_ldl_in_rldl(phi) is phi
+
+
+@pytest.mark.parametrize(
+    "name, text, extra, message",
+    [
+        ("ltl_surface_to_ldl", "X Fp p", (), "unsupported node PromptEventually"),
+        ("ltl_surface_to_ldl", "<p q*> p", (), "unsupported node PromptDiamond"),
+        ("relax_prompt", "X !(p & q)", ("c",), "unsupported node Not"),
+        ("relax_prompt", "p -> q", ("c",), "unsupported node Implies"),
+    ],
+)
+def test_translation_rejects_unsupported_nodes(name, text, extra, message):
+    with pytest.raises(ValueError) as err:
+        _translate(name, text, *extra)
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
+def test_translations_handle_deep_nesting():
+    from robusttl.formulas import Atom, Diamond, Next
+    from robusttl.modelcheck import relax_prompt
+
+    depth = 5000
+    phi = Atom("p")
+    for _ in range(depth):
+        phi = Next(phi)
+    results = ((ltl_surface_to_ldl(phi), Diamond), (relax_prompt(phi, "c"), Next))
+    for out, node in results:
+        count = 0
+        while isinstance(out, node):
+            out = out.arg
+            count += 1
+        assert count == depth
+        assert out == Atom("p")
