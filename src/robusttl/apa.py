@@ -1,11 +1,16 @@
 """Alternating parity automata over alphabets 2^P.
 
 Transitions map (state, letter) to positive Boolean formulas over
-states; acceptance is max parity on the colors seen along every path of
-a run.  The compiler from five-valued dynamic-logic formulas builds, for
-each threshold, an automaton recognizing the traces whose value is at
-least that threshold.  All compiled automata are weak: every strongly
-connected component of the state graph carries a single color.
+states, each held as the antichain of its minimal models (De Wulf,
+Doyen, Henzinger and Raskin, "Antichains", CAV 2006): a sorted tuple of
+int bitmasks over states, none a subset of another, so that () is
+false and (0,) is true.  Conjunction, disjunction and dual work on that
+form directly, and dealternation and lasso membership read it as it
+stands.  Acceptance is max parity on the colors seen along every path
+of a run.  The compiler from five-valued dynamic-logic formulas builds,
+for each threshold, an automaton recognizing the traces whose value is
+at least that threshold.  All compiled automata are weak: every
+strongly connected component of the state graph carries a single color.
 
 The compiler works on demand (the on-the-fly principle of Gerth, Peled,
 Vardi and Wolper): a breadth-first walk from the initial state asks for
@@ -29,7 +34,6 @@ from .formulas import (
     Ff,
     Formula,
     Guard,
-    HashOnce,
     Implies,
     LogicId,
     NegAtom,
@@ -49,150 +53,104 @@ from .truth import ALL_VALUES, BOTTOM, TOP, V0001, V0011, V0111, TruthValue4
 Colored = TypeVar("Colored")
 
 
-class EmptyListError(ValueError):
-    """Raised when a union or intersection gets no operands."""
-
-
 class AlphabetMismatchError(ValueError):
-    """Raised when combined automata disagree on propositions."""
+    """Raised when propositions fall outside an automaton's alphabet."""
 
 
-class PositiveBool(HashOnce):
-    """Positive Boolean formula over automaton states."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class PBTrue(PositiveBool):
-    pass
+def bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-@dataclass(frozen=True)
-class PBFalse(PositiveBool):
-    pass
+def _minimal(masks) -> list:
+    """The subset-minimal masks among masks (a set or duplicate-free)."""
+    kept: list = []
+    for x in sorted(masks, key=int.bit_count):
+        if all(y & x != y for y in kept):
+            kept.append(x)
+    return kept
 
 
-@dataclass(frozen=True)
-class PBVar(PositiveBool):
-    state: int
+def extend(partial: list, options) -> list:
+    """The subset-minimal unions of one partial mask and one option."""
+    if len(options) == 1:
+        (m,) = options
+        if not m:
+            return partial
+        if len(partial) == 1:
+            return [partial[0] | m]
+    grown = {p | m for p in partial for m in options}
+    if len(grown) == 1:
+        return list(grown)
+    return _minimal(grown)
 
 
-@dataclass(frozen=True)
-class PBAnd(PositiveBool):
-    args: tuple[PositiveBool, ...]
-
-
-@dataclass(frozen=True)
-class PBOr(PositiveBool):
-    args: tuple[PositiveBool, ...]
-
-
-PB_TRUE = PBTrue()
-PB_FALSE = PBFalse()
-
-
-def pb_and(parts) -> PositiveBool:
-    flat: list[PositiveBool] = []
-    seen = set()
+def models_and(parts) -> tuple[int, ...]:
+    """Conjunction: pairwise unions, minimized; stops at a false part."""
+    models = [0]
     for part in parts:
-        if isinstance(part, PBFalse):
-            return PB_FALSE
-        if isinstance(part, PBTrue):
-            continue
-        items = part.args if isinstance(part, PBAnd) else (part,)
-        for item in items:
-            if item not in seen:
-                seen.add(item)
-                flat.append(item)
-    if not flat:
-        return PB_TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return PBAnd(tuple(flat))
+        if not part:
+            return ()
+        models = extend(models, part)
+    return tuple(sorted(models))
 
 
-def pb_or(parts) -> PositiveBool:
-    flat: list[PositiveBool] = []
-    seen = set()
+def models_or(parts) -> tuple[int, ...]:
+    """Disjunction: the union, minimized; stops at a true part."""
+    union: set = set()
     for part in parts:
-        if isinstance(part, PBTrue):
-            return PB_TRUE
-        if isinstance(part, PBFalse):
-            continue
-        items = part.args if isinstance(part, PBOr) else (part,)
-        for item in items:
-            if item not in seen:
-                seen.add(item)
-                flat.append(item)
-    if not flat:
-        return PB_FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return PBOr(tuple(flat))
+        if part and not part[0]:
+            return (0,)
+        union.update(part)
+    return tuple(sorted(_minimal(union)))
 
 
-def pb_dual(pb: PositiveBool, rename=None) -> PositiveBool:
-    """Dualize: swap and/or and true/false, optionally renaming states."""
-    if isinstance(pb, PBTrue):
-        return PB_FALSE
-    if isinstance(pb, PBFalse):
-        return PB_TRUE
-    if isinstance(pb, PBVar):
-        return PBVar(rename(pb.state)) if rename else pb
-    if isinstance(pb, PBAnd):
-        return pb_or([pb_dual(a, rename) for a in pb.args])
-    return pb_and([pb_dual(a, rename) for a in pb.args])
+def models_dual(models, rename=None) -> tuple[int, ...]:
+    """Dual: the minimal hitting sets, with states renamed when given."""
+    if rename is not None:
+        models = sorted(sum(1 << rename(b) for b in bits(m)) for m in models)
+    return tuple(sorted(_hitting_sets(tuple(models), {})))
 
 
-def pb_rename(pb: PositiveBool, rename) -> PositiveBool:
-    if isinstance(pb, (PBTrue, PBFalse)):
-        return pb
-    if isinstance(pb, PBVar):
-        return PBVar(rename(pb.state))
-    if isinstance(pb, PBAnd):
-        return pb_and([pb_rename(a, rename) for a in pb.args])
-    return pb_or([pb_rename(a, rename) for a in pb.args])
+def _hitting_sets(edges: tuple, memo: dict) -> list:
+    """The minimal hitting sets of a sorted antichain of masks.
 
-
-def pb_states(pb: PositiveBool) -> frozenset[int]:
-    if isinstance(pb, PBVar):
-        return frozenset((pb.state,))
-    if isinstance(pb, (PBAnd, PBOr)):
-        out: frozenset[int] = frozenset()
-        for a in pb.args:
-            out |= pb_states(a)
-        return out
-    return frozenset()
-
-
-def pb_models(pb: PositiveBool) -> tuple[frozenset[int], ...]:
-    """Minimal models (antichain of state sets satisfying the formula)."""
-    if isinstance(pb, PBTrue):
-        return (frozenset(),)
-    if isinstance(pb, PBFalse):
-        return ()
-    if isinstance(pb, PBVar):
-        return (frozenset((pb.state,)),)
-    if isinstance(pb, PBOr):
-        out: list[frozenset[int]] = []
-        for a in pb.args:
-            for m in pb_models(a):
-                if not any(prev <= m for prev in out):
-                    out = [prev for prev in out if not (m <= prev)]
-                    out.append(m)
-        return tuple(sorted(out, key=sorted))
-    models: list[frozenset[int]] = [frozenset()]
-    for a in pb.args:
-        arg_models = pb_models(a)
-        merged: list[frozenset[int]] = []
-        for base, extra in itertools.product(models, arg_models):
-            m = base | extra
-            if not any(prev <= m for prev in merged):
-                merged = [prev for prev in merged if not (m <= prev)]
-                merged.append(m)
-        models = merged
-    return tuple(sorted(models, key=sorted))
+    A mask of one state puts that state in every hitting set.  Otherwise
+    the state x in most masks splits them: the sets without x hit the
+    masks with x removed, the sets with x hit the masks that lack it, and
+    such a set is minimal unless it contains one without x.  Shared
+    subproblems are solved once.  Folding the masks one by one (Berge)
+    is simpler, but its partial results can grow far beyond the answer.
+    """
+    if not edges:
+        return [0]
+    if not edges[0]:
+        return []
+    found = memo.get(edges)
+    if found is None:
+        units = 0
+        for e in edges:
+            if not e & (e - 1):
+                units |= e
+        if units:
+            rest = tuple(e for e in edges if not e & units)
+            found = [t | units for t in _hitting_sets(rest, memo)]
+        else:
+            count: dict = {}
+            for e in edges:
+                for b in bits(e):
+                    count[b] = count.get(b, 0) + 1
+            x = 1 << max(count, key=count.get)
+            without = _hitting_sets(tuple(sorted(_minimal({e & ~x for e in edges}))), memo)
+            with_x = _hitting_sets(tuple(e for e in edges if not e & x), memo)
+            found = without + [
+                t | x for t in with_x if all(s & t != s for s in without)
+            ]
+        memo[edges] = found
+    return found
 
 
 @dataclass(frozen=True)
@@ -202,7 +160,7 @@ class APA:
     props: tuple[str, ...]
     n_states: int
     initial: int
-    delta: dict  # (state, letter frozenset) -> PositiveBool
+    delta: dict  # (state, letter frozenset) -> minimal models
     color: tuple[int, ...]
 
     @property
@@ -216,62 +174,13 @@ class APA:
         return max(self.color) if self.color else 0
 
 
-def _check_props(automata) -> tuple[str, ...]:
-    props = automata[0].props
-    for a in automata[1:]:
-        if a.props != props:
-            msg = f"propositions differ: {a.props} vs {props}"
-            raise AlphabetMismatchError(msg)
-    return props
-
-
 def apa_complement(a: APA) -> APA:
     """Dualize transitions and shift colors by one."""
-    delta = {key: pb_dual(pb) for key, pb in a.delta.items()}
+    delta = {key: models_dual(models) for key, models in a.delta.items()}
     color = tuple(c + 1 for c in a.color)
     return normalize_colors(
         APA(a.props, a.n_states, a.initial, delta, color)
     )
-
-
-def _combine(automata, smash) -> APA:
-    if not automata:
-        raise EmptyListError("need at least one automaton")
-    automata = list(automata)
-    props = _check_props(automata)
-    letters = all_letters(props)
-    delta: dict = {}
-    colors: list[int] = []
-    offsets = []
-    total = 0
-    for a in automata:
-        offsets.append(total)
-        off = total
-        for (q, letter), pb in a.delta.items():
-            delta[(q + off, letter)] = pb_rename(pb, lambda s, o=off: s + o)
-        colors.extend(a.color)
-        total += a.n_states
-    fresh = total
-    colors.append(0)
-    for letter in letters:
-        parts = [
-            a.delta[(a.initial, letter)]
-            for a in automata
-        ]
-        shifted = [
-            pb_rename(pb, lambda s, o=off: s + o)
-            for pb, off in zip(parts, offsets)
-        ]
-        delta[(fresh, letter)] = smash(shifted)
-    return APA(props, total + 1, fresh, delta, tuple(colors))
-
-
-def apa_union(automata) -> APA:
-    return _combine(automata, pb_or)
-
-
-def apa_intersection(automata) -> APA:
-    return _combine(automata, pb_and)
 
 
 def normalize_colors(a: Colored) -> Colored:
@@ -305,33 +214,25 @@ def apa_accepts_lasso(a: APA, trace: LassoTrace) -> bool:
         msg = "trace uses propositions outside the automaton alphabet"
         raise AlphabetMismatchError(msg)
     # Vertex 0 accepts and vertex 1 rejects: self-loops of color 0 and 1.
+    # Player 0 picks a model of a state's transition, player 1 a state of
+    # the model.
     nodes: list = [("acc",), ("rej",), ("s", a.initial, 0)]
     index = {node: i for i, node in enumerate(nodes)}
     owner = [1, 0]
     edges = [(0,), (1,)]
     color = [0, 1]
     for node in itertools.islice(nodes, 2, None):  # grows while it is walked
-        player = 0
-        shade = 0
-        if node[0] == "s":
-            _, q, cls = node
-            letter = trace.letter_at(cls)
-            pb = a.delta[(q, letter)]
-            shade = a.color[q]
-            succs = [("f", pb, trace.canonical_index(cls + 1))]
+        kind, x, cls = node
+        if kind == "s":
+            models = a.delta[(x, trace.letter_at(cls))]
+            nxt = trace.canonical_index(cls + 1)
+            succs = [("m", m, nxt) for m in models] if models else [nodes[1]]
+            owner.append(0)
+            color.append(a.color[x])
         else:
-            _, pb, cls = node
-            if isinstance(pb, PBTrue):
-                succs = [nodes[0]]
-            elif isinstance(pb, PBFalse):
-                succs = [nodes[1]]
-            elif isinstance(pb, PBVar):
-                succs = [("s", pb.state, cls)]
-            elif isinstance(pb, PBOr):
-                succs = [("f", arg, cls) for arg in pb.args]
-            else:
-                player = 1
-                succs = [("f", arg, cls) for arg in pb.args]
+            succs = [("s", q, cls) for q in bits(x)] if x else [nodes[0]]
+            owner.append(1)
+            color.append(0)
         out = []
         for s in succs:
             i = index.get(s)
@@ -339,14 +240,9 @@ def apa_accepts_lasso(a: APA, trace: LassoTrace) -> bool:
                 i = index[s] = len(nodes)
                 nodes.append(s)
             out.append(i)
-        owner.append(player)
         edges.append(tuple(out))
-        color.append(shade)
     win0, _, _, _ = solve_parity(ParityGame.numbered(owner, edges, color))
     return 2 in win0
-
-    # Note: formula nodes keyed by canonical class; the successor class
-    # of a state node is canonical, so the game is finite.
 
 
 # Kinds of state keys and their colors.  A guard block over (guard, arg,
@@ -383,6 +279,8 @@ _BOX_ROWS = (
 )
 
 _TT = Tt()
+_TRUE = (0,)
+_FALSE = ()
 
 
 def _dual(key: tuple) -> tuple:
@@ -405,7 +303,7 @@ class _Builder:
         self.keys: list[tuple] = []
         self.ids: dict[tuple, int] = {}
         self.duals: dict[int, int] = {}
-        self.deltas: dict[tuple[int, int], PositiveBool] = {}
+        self.deltas: dict[tuple[int, int], tuple[int, ...]] = {}
         self.formula_deltas: dict = {}
         self.guards: dict = {}
 
@@ -475,54 +373,54 @@ class _Builder:
 
     # -- transitions -----------------------------------------------------
 
-    def delta(self, i: int, li: int) -> PositiveBool:
+    def delta(self, i: int, li: int) -> tuple[int, ...]:
         """Transition of provisional state i at letter index li."""
-        pb = self.deltas.get((i, li))
-        if pb is None:
+        models = self.deltas.get((i, li))
+        if models is None:
             key = self.keys[i]
             kind = key[0]
             if kind == "dual":
-                pb = pb_dual(self.delta(self.dual_id(i), li), self.dual_id)
+                models = models_dual(self.delta(self.dual_id(i), li), self.dual_id)
             elif kind == "formula":
-                pb = self.formula_delta(key[1], key[2], li)
+                models = self.formula_delta(key[1], key[2], li)
             else:
-                pb = self._block_delta(key, li)
-            self.deltas[(i, li)] = pb
-        return pb
+                models = self._block_delta(key, li)
+            self.deltas[(i, li)] = models
+        return models
 
     def formula_delta(
         self, phi: Formula, beta: TruthValue4, li: int, dual: bool = False
-    ) -> PositiveBool:
+    ) -> tuple[int, ...]:
         """Transition of phi at beta (of its complement when dual)."""
         memo = (phi, beta, li, dual)
-        pb = self.formula_deltas.get(memo)
-        if pb is None:
+        models = self.formula_deltas.get(memo)
+        if models is None:
             if dual:
-                pb = pb_dual(self.formula_delta(phi, beta, li), self.dual_id)
+                models = models_dual(self.formula_delta(phi, beta, li), self.dual_id)
             else:
-                pb = self._formula_delta(phi, beta, li)
-            self.formula_deltas[memo] = pb
-        return pb
+                models = self._formula_delta(phi, beta, li)
+            self.formula_deltas[memo] = models
+        return models
 
-    def _formula_delta(self, phi: Formula, beta: TruthValue4, li: int) -> PositiveBool:
+    def _formula_delta(self, phi: Formula, beta: TruthValue4, li: int) -> tuple[int, ...]:
         if beta == BOTTOM or isinstance(phi, Tt):
-            return PB_TRUE
+            return _TRUE
         if isinstance(phi, Ff):
-            return PB_FALSE
+            return _FALSE
         if isinstance(phi, (Atom, NegAtom)):
             holds = (phi.name in self.letters[li]) != isinstance(phi, NegAtom)
-            return PB_TRUE if holds else PB_FALSE
+            return _TRUE if holds else _FALSE
         if isinstance(phi, Not):
             return self.formula_delta(phi.arg, TOP, li, dual=True)
         if isinstance(phi, (And, Or)):
-            smash = pb_and if isinstance(phi, And) else pb_or
+            smash = models_and if isinstance(phi, And) else models_or
             return smash(self.formula_delta(f, beta, li) for f in (phi.left, phi.right))
         if isinstance(phi, Implies):
-            return pb_or(self._implies(phi.left, phi.right, beta, li))
+            return models_or(self._implies(phi.left, phi.right, beta, li))
         if isinstance(phi, Diamond):
             return self._initial_delta("ex", phi.guard, phi.arg, beta, False, li)
         if isinstance(phi, Box):
-            return pb_or(self._box(phi.guard, phi.arg, beta, li))
+            return models_or(self._box(phi.guard, phi.arg, beta, li))
         msg = f"cannot compile {format_formula(phi)}"
         raise ValueError(msg)
 
@@ -530,7 +428,9 @@ class _Builder:
         """Disjuncts of l -> r: the value is top when V(l) <= V(r), else V(r).
 
         At threshold beta this is: some gamma with V(l) = gamma and
-        V(r) >= gamma, or V(r) >= beta.
+        V(r) >= gamma, or V(r) >= beta.  The last disjunct comes first:
+        when it is true, the duals of l, which can have many more models
+        than l, are never computed.
         """
 
         def same_level(idx: int, gamma: TruthValue4):
@@ -541,9 +441,9 @@ class _Builder:
             if gamma != BOTTOM:
                 yield self.formula_delta(right, gamma, li)
 
-        for idx, gamma in enumerate(ALL_VALUES):
-            yield pb_and(same_level(idx, gamma))
         yield self.formula_delta(right, beta, li)
+        for idx, gamma in enumerate(ALL_VALUES):
+            yield models_and(same_level(idx, gamma))
 
     def _box(self, guard: Guard, arg: Formula, beta: TruthValue4, li: int):
         """Disjuncts of [guard] arg at beta, one per row of _BOX_ROWS."""
@@ -551,7 +451,7 @@ class _Builder:
             if bit > beta.bit_index:
                 break
             for conjuncts in disjuncts:
-                yield pb_and(
+                yield models_and(
                     self._initial_delta(
                         kind, guard, _TT if on_tt else arg, deg, refuted, li, dual
                     )
@@ -560,11 +460,11 @@ class _Builder:
 
     def _initial_delta(
         self, kind, guard, arg, deg, refuted, li, dual=False
-    ) -> PositiveBool:
+    ) -> tuple[int, ...]:
         i = self.id_of((kind, guard, arg, deg, refuted, self.guard(guard)[0]))
         return self.delta(self.dual_id(i) if dual else i, li)
 
-    def _block_delta(self, key: tuple, li: int) -> PositiveBool:
+    def _block_delta(self, key: tuple, li: int) -> tuple[int, ...]:
         """Transition of a guard-block state.
 
         Each epsilon path that reads the letter (or ends the match) gives
@@ -584,15 +484,15 @@ class _Builder:
             if target is None:
                 yield self.formula_delta(arg, deg, li, dual=refuted)
             else:
-                yield PBVar(self.id_of((kind, guard, arg, deg, refuted, target)))
+                yield (1 << self.id_of((kind, guard, arg, deg, refuted, target)),)
                 if kind == "main":
-                    yield PBVar(self.id_of(("check", guard, arg, deg, refuted, target)))
+                    yield (1 << self.id_of(("check", guard, arg, deg, refuted, target)),)
 
         if kind == "all":
-            return pb_and(pb_or(parts(*path)) for path in paths)
+            return models_and(models_or(parts(*path)) for path in paths)
         if kind == "main":
             paths = [path for path in paths if path[0] is not None]
-        return pb_or(pb_and(parts(*path)) for path in paths)
+        return models_or(models_and(parts(*path)) for path in paths)
 
 
 def from_rldl(
@@ -606,10 +506,10 @@ def from_rldl(
     all ultimately periodic words, the omega-words) on which the formula
     evaluates to at least beta.  The result is weak.
 
-    Only states reachable from the initial state are built.  They are
-    numbered breadth-first: the initial state is 0, and the states of each
-    transition, letter by letter and in provisional order, get the next
-    free numbers.
+    Only states reachable from the initial state through minimal models
+    are built.  They are numbered breadth-first: the initial state is 0,
+    and the states of each transition's models, letter by letter and in
+    provisional order, get the next free numbers.
     """
     require_logic(phi, LogicId.RLDL)
     names = set(propositions(phi))
@@ -626,22 +526,28 @@ def from_rldl(
     delta = {}
     for q, i in enumerate(order):  # grows while it is walked
         for li, letter in enumerate(builder.letters):
-            pb = builder.delta(i, li)
-            for t in sorted(pb_states(pb)):
+            models = builder.delta(i, li)
+            union = 0
+            for m in models:
+                union |= m
+            for t in bits(union):
                 if t not in number:
                     number[t] = len(order)
                     order.append(t)
-            delta[(q, letter)] = pb_rename(pb, number.__getitem__)
+            delta[(q, letter)] = tuple(
+                sorted(sum(1 << number[t] for t in bits(m)) for m in models)
+            )
     color = tuple(builder.color(i) for i in order)
     return normalize_colors(APA(prop_tuple, len(order), 0, delta, color))
 
 
 def weak_components(a: APA):
     """SCCs of the state graph with their color sets, topological order."""
-    graph = [set() for _ in range(a.n_states)]
-    for (q, _letter), pb in a.delta.items():
-        graph[q] |= pb_states(pb)
-    components = sccs(range(a.n_states), lambda q: sorted(graph[q]))
+    graph = [0] * a.n_states
+    for (q, _letter), models in a.delta.items():
+        for m in models:
+            graph[q] |= m
+    components = sccs(range(a.n_states), lambda q: bits(graph[q]))
     return [tuple(sorted(comp)) for comp in reversed(components)]
 
 

@@ -381,7 +381,7 @@ def is_test_free(phi_or_guard: Formula | Guard) -> bool:
 
 
 # Admissible node classes per logic.  Guards impose additional rules
-# (see _check_guard): only the dynamic logics may carry guards at all and
+# (see check_logic): only the dynamic logics may carry guards at all and
 # tests recursively obey the same logic.
 _SURFACE: dict[LogicId, tuple[type, ...]] = {
     LogicId.LTL: (
@@ -408,43 +408,44 @@ _SURFACE: dict[LogicId, tuple[type, ...]] = {
 
 
 def check_logic(phi: Formula, logic: LogicId) -> list[str]:
-    """Return a list of admissibility violations (empty when well-formed)."""
+    """Return a list of admissibility violations (empty when well-formed).
+
+    Walks with an explicit stack in preorder, a node's children before
+    the tests of its guard, and not below an inadmissible node.
+    """
     allowed = _SURFACE[logic]
     violations: list[str] = []
     seen: set[Formula] = set()
-
-    def visit(f: Formula) -> None:
+    stack: list = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Guard):
+            if isinstance(f, Prop):
+                if not is_propositional(f.formula):
+                    violations.append(
+                        "guard atom must be propositional:"
+                        f" {format_formula(f.formula)}"
+                    )
+            elif isinstance(f, Test):
+                stack.append(f.formula)
+            elif isinstance(f, (Alt, Concat)):
+                stack += (f.right, f.left)
+            elif isinstance(f, Star):
+                stack.append(f.arg)
+            continue
         if f in seen:
-            return
+            continue
         seen.add(f)
         if not isinstance(f, allowed):
             violations.append(
                 f"operator {type(f).__name__} not admissible in {logic.value}:"
                 f" {format_formula(f)}"
             )
-            return
-        for child in _children(f):
-            visit(child)
+            continue
         if isinstance(f, (Diamond, Box, PromptDiamond)):
-            _check_guard(f.guard, logic, violations, visit)
-
-    visit(phi)
+            stack.append(f.guard)
+        stack.extend(reversed(_children(f)))
     return violations
-
-
-def _check_guard(guard: Guard, logic: LogicId, violations: list[str], visit) -> None:
-    if isinstance(guard, Prop):
-        if not is_propositional(guard.formula):
-            violations.append(
-                f"guard atom must be propositional: {format_formula(guard.formula)}"
-            )
-    elif isinstance(guard, Test):
-        visit(guard.formula)
-    elif isinstance(guard, (Alt, Concat)):
-        _check_guard(guard.left, logic, violations, visit)
-        _check_guard(guard.right, logic, violations, visit)
-    elif isinstance(guard, Star):
-        _check_guard(guard.arg, logic, violations, visit)
 
 
 def require_logic(phi: Formula, logic: LogicId) -> None:

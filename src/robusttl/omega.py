@@ -26,13 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .apa import (
-    APA,
-    AlphabetMismatchError,
-    is_weak,
-    normalize_colors,
-    pb_models,
-)
+from .apa import APA, AlphabetMismatchError, extend, is_weak, normalize_colors
 from .formulas import Formula, LogicId, require_logic
 from .graphs import least_priorities, sccs
 from .guards import all_letters
@@ -100,8 +94,8 @@ def apa_to_nba(a: APA) -> NBA:
     subset order on pairs is the subset order on ints.  The successors of
     a pair for a letter are built by a fold over the slice, one state at a
     time: each partial pair is extended by every minimal model of that
-    state's transition (memoized per state and letter for this call), and
-    only the subset-minimal partial pairs are kept.  Union preserves the
+    state's transition, and only the subset-minimal partial pairs are
+    kept.  Union preserves the
     order, so the fold yields exactly the minimal pairs among all choices
     of one model per state, and a pair that contains another accepts a
     subset of its language, so dropping it keeps the language.
@@ -113,16 +107,6 @@ def apa_to_nba(a: APA) -> NBA:
     n = a.n_states
     slice_bits = (1 << n) - 1
     bad = sum(1 << q for q in range(n) if a.color[q] % 2 == 1)
-    models: dict = {}
-
-    def models_of(q: int, letter) -> tuple[int, ...]:
-        key = (q, letter)
-        if key not in models:
-            models[key] = tuple(
-                sum(1 << s for s in m) for m in pb_models(a.delta[key])
-            )
-        return models[key]
-
     start = 1 << a.initial
     index = {start: 0}
     order = [start]
@@ -135,10 +119,10 @@ def apa_to_nba(a: APA) -> NBA:
         for letter in letters:
             partial = [0]
             for q in states:
-                options = models_of(q, letter)
+                options = a.delta[(q, letter)]
                 if owing >> q & 1:
                     options = tuple(m | (m & bad) << n for m in options)
-                partial = _extend(partial, options)
+                partial = extend(partial, options)
                 if not partial:
                     break
             if not owing:
@@ -153,24 +137,6 @@ def apa_to_nba(a: APA) -> NBA:
             )
     accepting = frozenset(i for i, s in enumerate(order) if not s >> n)
     return NBA(a.props, len(order), 0, transitions, accepting)
-
-
-def _extend(partial: list, options: tuple) -> list:
-    """The subset-minimal unions of one partial pair and one option."""
-    if len(options) == 1:
-        (m,) = options
-        if not m:
-            return partial
-        if len(partial) == 1:
-            return [partial[0] | m]
-    grown = {p | m for p in partial for m in options}
-    if len(grown) == 1:
-        return list(grown)
-    kept: list = []
-    for x in sorted(grown, key=int.bit_count):
-        if all(y & x != y for y in kept):
-            kept.append(x)
-    return kept
 
 
 def nba_accepts_lasso(nba: NBA, trace: LassoTrace) -> bool:

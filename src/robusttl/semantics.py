@@ -36,6 +36,7 @@ from .formulas import (
     Until,
     require_logic,
 )
+from .graphs import sccs
 from .guards import GuardNFA, prop_holds, thompson
 from .traces import LassoTrace
 from .truth import TruthValue4, from_bits
@@ -71,7 +72,7 @@ class _GuardEngine:
         self._viable: dict[tuple[int, int], bool] = {}
         self._letters = [trace.letter_at(c) for c in range(self.n)]
         self._graph_done = False
-        self._pump_reach: set[tuple[int, int]] = set()
+        self._pumping: set[tuple[int, int]] = set()
         self._summaries: dict[tuple[int, int], MatchSetSummary] = {}
 
     def next_class(self, c: int) -> int:
@@ -132,25 +133,28 @@ class _GuardEngine:
                         out.append((target, c2))
                         letter_edges.add((node, (target, c2)))
                 succ[node] = out
-        comp = _tarjan_scc(nodes, succ)
-        pumping: set[tuple[int, int]] = set()
+        comp = {
+            node: i
+            for i, members in enumerate(sccs(nodes, succ.__getitem__))
+            for node in members
+        }
         for node in nodes:
             for target in succ[node]:
                 if comp[node] == comp[target] and (node, target) in letter_edges:
-                    pumping.add(node)
-                    pumping.add(target)
-        # Everything reachable from a pumping configuration can be reached
-        # with arbitrarily many extra loop traversals.
-        reach = set(pumping)
-        stack = list(pumping)
+                    self._pumping.add(node)
+                    self._pumping.add(target)
+        self._succ = succ
+
+    def _reach(self, configs) -> set[tuple[int, int]]:
+        seen = set(configs)
+        stack = list(seen)
         while stack:
             node = stack.pop()
-            for target in succ[node]:
-                if target not in reach:
-                    reach.add(target)
+            for target in self._succ.get(node, ()):
+                if target not in seen:
+                    seen.add(target)
                     stack.append(target)
-        self._succ = succ
-        self._pump_reach = reach
+        return seen
 
     def summary(self, start_class: int, min_horizon: int = 0) -> MatchSetSummary:
         horizon = max(
@@ -173,70 +177,13 @@ class _GuardEngine:
             current = self._step(current, c)
             c = self.next_class(c)
         self._build_graph()
-        seen = set(start_configs)
-        stack = list(start_configs)
-        while stack:
-            node = stack.pop()
-            for target in self._succ.get(node, ()):
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-        infinite = frozenset(
-            cls
-            for (q, cls) in (seen & self._pump_reach)
-            if q in self.nfa.finals
-        )
+        # A configuration reachable from a pumping one that the start
+        # reaches recurs with arbitrarily many extra loop traversals.
+        pumped = self._reach(self._reach(start_configs) & self._pumping)
+        infinite = frozenset(cls for (q, cls) in pumped if q in self.nfa.finals)
         result = MatchSetSummary(tuple(finite), infinite, horizon)
         self._summaries[key] = result
         return result
-
-
-def _tarjan_scc(nodes, succ) -> dict:
-    index: dict = {}
-    low: dict = {}
-    comp: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    counter = [0]
-    comp_counter = [0]
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for target in it:
-                if target not in index:
-                    index[target] = low[target] = counter[0]
-                    counter[0] += 1
-                    stack.append(target)
-                    on_stack.add(target)
-                    work.append((target, iter(succ.get(target, ()))))
-                    advanced = True
-                    break
-                if target in on_stack:
-                    low[node] = min(low[node], index[target])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp[member] = comp_counter[0]
-                    if member == node:
-                        break
-                comp_counter[0] += 1
-    return comp
 
 
 class _EvaluatorBase:

@@ -31,27 +31,18 @@ order, so that node is numbered by v's position.
 reference_from_rldl is the eager alternating-automaton compiler: every
 subformula and guard block gets states over every letter, a complement
 is a copied dual of everything its state reaches, and a final pass
-prunes the result to the states reachable from the initial one.
+prunes the result to the states reachable from the initial one through
+minimal models.  It builds positive Boolean formula trees (PBAnd, PBOr,
+PBVar and the constants) and turns each into its minimal models, as
+int bitmasks, only at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
-from robusttl.apa import (
-    APA,
-    PB_FALSE,
-    PB_TRUE,
-    AlphabetMismatchError,
-    PBVar,
-    PositiveBool,
-    normalize_colors,
-    pb_and,
-    pb_dual,
-    pb_or,
-    pb_rename,
-    pb_states,
-)
+from robusttl.apa import APA, AlphabetMismatchError, normalize_colors
 from robusttl.formulas import (
     And,
     Atom,
@@ -60,6 +51,7 @@ from robusttl.formulas import (
     Ff,
     Formula,
     Guard,
+    HashOnce,
     Implies,
     LogicId,
     NegAtom,
@@ -166,10 +158,12 @@ def brute_force_region(game) -> frozenset:
     return frozenset(win0)
 
 
+def _states_of(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def unpruned_apa_to_nba(a):
     """Breakpoint NBA over all (slice, owing) successors of every letter."""
-    from robusttl.apa import pb_models
-    from robusttl.guards import all_letters
     from robusttl.omega import NBA
 
     letters = all_letters(a.props)
@@ -186,7 +180,9 @@ def unpruned_apa_to_nba(a):
         owing_pos = [i for i, q in enumerate(active) if q in owing]
         for letter in letters:
             succs = set()
-            model_lists = [pb_models(a.delta[(q, letter)]) for q in active]
+            model_lists = [
+                [_states_of(m) for m in a.delta[(q, letter)]] for q in active
+            ]
             for combo in itertools.product(*model_lists):
                 new_slice = frozenset().union(*combo)
                 if owing:
@@ -317,6 +313,111 @@ def full_alphabet_mc_witness(ts, phi, beta):
     props = sorted(propositions(phi) | ts.propositions)
     bad = apa_to_nba(apa_complement(from_rldl(phi, beta, props)))
     return nba_emptiness(nba_intersection(ts_to_nba(ts, props), bad))
+
+
+# -- positive Boolean formula trees of the reference compiler ----------------
+
+
+class PositiveBool(HashOnce):
+    """Positive Boolean formula over automaton states."""
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class PBTrue(PositiveBool):
+    pass
+
+
+@dataclass(frozen=True)
+class PBFalse(PositiveBool):
+    pass
+
+
+@dataclass(frozen=True)
+class PBVar(PositiveBool):
+    state: int
+
+
+@dataclass(frozen=True)
+class PBAnd(PositiveBool):
+    args: tuple[PositiveBool, ...]
+
+
+@dataclass(frozen=True)
+class PBOr(PositiveBool):
+    args: tuple[PositiveBool, ...]
+
+
+PB_TRUE = PBTrue()
+PB_FALSE = PBFalse()
+
+
+def _pb_flat(parts, unit, zero, node) -> PositiveBool:
+    """pb_and / pb_or: flatten, drop units and duplicates, fold zeros."""
+    flat: list[PositiveBool] = []
+    seen = set()
+    for part in parts:
+        if part == zero:
+            return zero
+        if part == unit:
+            continue
+        for item in part.args if isinstance(part, node) else (part,):
+            if item not in seen:
+                seen.add(item)
+                flat.append(item)
+    if not flat:
+        return unit
+    return flat[0] if len(flat) == 1 else node(tuple(flat))
+
+
+def pb_and(parts) -> PositiveBool:
+    return _pb_flat(parts, PB_TRUE, PB_FALSE, PBAnd)
+
+
+def pb_or(parts) -> PositiveBool:
+    return _pb_flat(parts, PB_FALSE, PB_TRUE, PBOr)
+
+
+def pb_dual(pb: PositiveBool, rename) -> PositiveBool:
+    """Swap and/or and true/false, renaming states."""
+    if isinstance(pb, PBTrue):
+        return PB_FALSE
+    if isinstance(pb, PBFalse):
+        return PB_TRUE
+    if isinstance(pb, PBVar):
+        return PBVar(rename(pb.state))
+    if isinstance(pb, PBAnd):
+        return pb_or([pb_dual(a, rename) for a in pb.args])
+    return pb_and([pb_dual(a, rename) for a in pb.args])
+
+
+def pb_states(pb: PositiveBool) -> frozenset[int]:
+    if isinstance(pb, PBVar):
+        return frozenset((pb.state,))
+    if isinstance(pb, (PBAnd, PBOr)):
+        return frozenset().union(*(pb_states(a) for a in pb.args))
+    return frozenset()
+
+
+def _minimal_sets(sets) -> list[frozenset[int]]:
+    return [m for m in sets if not any(x < m for x in sets)]
+
+
+def pb_models(pb: PositiveBool) -> list[frozenset[int]]:
+    """Minimal models: the state sets satisfying pb, none inside another."""
+    if isinstance(pb, PBTrue):
+        return [frozenset()]
+    if isinstance(pb, PBFalse):
+        return []
+    if isinstance(pb, PBVar):
+        return [frozenset((pb.state,))]
+    if isinstance(pb, PBOr):
+        return _minimal_sets({m for a in pb.args for m in pb_models(a)})
+    models = [frozenset()]
+    for a in pb.args:
+        models = _minimal_sets({m | x for m in models for x in pb_models(a)})
+    return models
 
 
 class _ReferenceBuilder:
@@ -698,24 +799,28 @@ def reference_from_rldl(
 
 
 def _prune(a: APA) -> APA:
-    """Restrict to states reachable from the initial state."""
+    """Restrict to the states reachable from the initial state through
+    minimal models, with every transition as its int models."""
     letters = all_letters(a.props)
+    models = {}
     reach = {a.initial}
     work = [a.initial]
     while work:
         q = work.pop()
         for letter in letters:
-            for t in pb_states(a.delta[(q, letter)]):
-                if t not in reach:
-                    reach.add(t)
-                    work.append(t)
+            models[(q, letter)] = pb_models(a.delta[(q, letter)])
+            for m in models[(q, letter)]:
+                for t in m:
+                    if t not in reach:
+                        reach.add(t)
+                        work.append(t)
     order = sorted(reach)
     index = {q: i for i, q in enumerate(order)}
     delta = {}
     for q in order:
         for letter in letters:
-            delta[(index[q], letter)] = pb_rename(
-                a.delta[(q, letter)], index.__getitem__
+            delta[(index[q], letter)] = tuple(
+                sorted(sum(1 << index[t] for t in m) for m in models[(q, letter)])
             )
     color = tuple(a.color[q] for q in order)
     return APA(a.props, len(order), index[a.initial], delta, color)

@@ -7,25 +7,15 @@ from _oracles import reference_from_rldl
 
 from robusttl.apa import (
     APA,
-    AlphabetMismatchError,
-    EmptyListError,
-    PBAnd,
-    PBFalse,
-    PBOr,
-    PBTrue,
-    PBVar,
     apa_accepts_lasso,
     apa_complement,
-    apa_intersection,
-    apa_union,
+    bits,
     from_rldl,
     is_weak,
+    models_and,
+    models_dual,
+    models_or,
     normalize_colors,
-    pb_and,
-    pb_dual,
-    pb_models,
-    pb_or,
-    pb_states,
     weak_components,
 )
 from robusttl.formulas import LogicId, size
@@ -33,7 +23,7 @@ from robusttl.gen import make_rng, random_formula, random_lasso
 from robusttl.omega import apa_to_nba
 from robusttl.parser import parse
 from robusttl.semantics import eval_rldl
-from robusttl.truth import ALL_VALUES, POSITIVE_VALUES, TOP, V0011, V0111, from_string
+from robusttl.truth import ALL_VALUES, POSITIVE_VALUES, TOP, V0011, from_string
 from robusttl.traces import parse_trace
 
 PQ = ("p", "q")
@@ -48,31 +38,82 @@ def agrees(apa, phi, beta, trace):
     return apa_accepts_lasso(apa, trace) == want
 
 
-def test_pb_constructors_fold_constants():
-    x, y = PBVar(0), PBVar(1)
-    assert pb_and([PBTrue(), x]) == x
-    assert pb_and([PBFalse(), x]) == PBFalse()
-    assert pb_or([PBFalse(), x]) == x
-    assert pb_or([PBTrue(), x]) == PBTrue()
-    assert pb_and([x, x]) == x
-    assert pb_and([pb_and([x, y]), x]) == pb_and([x, y])
+TRUE, FALSE = (0,), ()
 
 
-def test_pb_dual():
-    x, y = PBVar(0), PBVar(1)
-    assert pb_dual(pb_and([x, y])) == pb_or([x, y])
-    assert pb_dual(PBTrue()) == PBFalse()
-    assert pb_dual(pb_or([x, pb_and([x, y])])) == pb_and([x, pb_or([x, y])])
-
-
-def test_pb_models_are_minimal():
-    x, y, z = PBVar(0), PBVar(1), PBVar(2)
-    models = pb_models(pb_or([x, pb_and([y, z])]))
-    assert set(models) == {frozenset({0}), frozenset({1, 2})}
+def test_models_fold_constants_duplicates_and_absorption():
+    x, y = (1 << 0,), (1 << 1,)
+    assert models_and([TRUE, x]) == x
+    assert models_and([FALSE, x]) == FALSE
+    assert models_and([]) == TRUE
+    assert models_or([FALSE, x]) == x
+    assert models_or([TRUE, x]) == TRUE
+    assert models_or([]) == FALSE
+    assert models_and([x, x]) == x
+    assert models_or([x, x]) == x
+    assert models_and([models_and([x, y]), x]) == (0b11,)
     # Absorption: x | (x & y) has the single minimal model {x}.
-    assert set(pb_models(pb_or([x, pb_and([x, y])]))) == {frozenset({0})}
-    assert pb_models(PBFalse()) == ()
-    assert pb_models(PBTrue()) == (frozenset(),)
+    assert models_or([x, models_and([x, y])]) == x
+    assert models_and([x, models_or([x, y])]) == x
+    assert models_or([x, models_and([y, (1 << 2,)])]) == (0b1, 0b110)
+
+
+def test_models_dual():
+    x, y = (1 << 0,), (1 << 1,)
+    assert models_dual(models_and([x, y])) == models_or([x, y])
+    assert models_dual(TRUE) == FALSE
+    assert models_dual(FALSE) == TRUE
+    assert models_dual(models_or([x, models_and([x, y])])) == x
+    assert models_dual((0b011, 0b110), lambda s: 4 - s) == (0b01000, 0b10100)
+
+
+def test_models_and_or_dual_match_brute_force():
+    # Random trees over at most 5 states: the operations give exactly the
+    # minimal satisfying subsets, and the dual exactly the minimal
+    # subsets that meet every model, the constants and duplicates included.
+    rng = make_rng(131)
+
+    def tree(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            if roll < 0.05:
+                return TRUE, lambda s: True
+            if roll < 0.1:
+                return FALSE, lambda s: False
+            q = rng.randrange(5)
+            return (1 << q,), lambda s: s >> q & 1 == 1
+        parts = [tree(depth - 1) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.3 and parts:
+            parts.append(parts[0])
+        if roll < 0.65:
+            return models_and(m for m, _ in parts), lambda s: all(f(s) for _, f in parts)
+        return models_or(m for m, _ in parts), lambda s: any(f(s) for _, f in parts)
+
+    def minimal(holds):
+        sats = [s for s in range(32) if holds(s)]
+        return tuple(sorted(s for s in sats if not any(t != s and t & s == t for t in sats)))
+
+    for _ in range(400):
+        models, holds = tree(rng.randint(0, 4))
+        assert models == minimal(holds)
+        assert models_dual(models) == minimal(lambda s: not holds(31 & ~s))
+        assert models_dual(models_dual(models)) == models
+
+
+def test_dual_of_many_models():
+    # One transition has 561 minimal models over 48 states.  Folding them
+    # one at a time into hitting sets did not finish in a minute.
+    apa = compile_at("p -> [p] (q & q) -> [(!q)] p", "0011")
+    comp = apa_complement(apa)
+    assert max(len(models) for models in apa.delta.values()) == 561
+    assert max(len(models) for models in comp.delta.values()) == 1416
+    assert apa_complement(comp).delta == apa.delta
+
+
+def test_bits_lists_set_bits_in_order():
+    assert list(bits(0)) == []
+    assert list(bits(0b101001)) == [0, 3, 5]
+    assert list(bits(1 << 70)) == [70]
 
 
 def test_from_rldl_is_weak():
@@ -112,22 +153,6 @@ def test_complement_flips_acceptance():
             assert apa_accepts_lasso(apa, w) != apa_accepts_lasso(comp, w)
 
 
-def test_union_intersection():
-    a = compile_at("[tt*] p", "0111")
-    b = compile_at("[tt*] q", "0111")
-    both = apa_intersection([a, b])
-    either = apa_union([a, b])
-    for trace_text in ["; {p,q}", "{} ; {p}", "; {q}", "; {}"]:
-        w = parse_trace(trace_text)
-        va, vb = apa_accepts_lasso(a, w), apa_accepts_lasso(b, w)
-        assert apa_accepts_lasso(both, w) == (va and vb)
-        assert apa_accepts_lasso(either, w) == (va or vb)
-    with pytest.raises(EmptyListError):
-        apa_union([])
-    with pytest.raises(AlphabetMismatchError):
-        apa_intersection([a, from_rldl(parse("[tt*] p"), V0111, ("p",))])
-
-
 def test_normalize_colors_preserves_language():
     apa = compile_at("[tt*] p -> <tt*> q", "0011")
     shifted = APA(
@@ -162,8 +187,8 @@ def test_weak_components_are_in_topological_order():
         comps = weak_components(apa)
         assert sorted(q for comp in comps for q in comp) == list(range(apa.n_states))
         position = {q: i for i, comp in enumerate(comps) for q in comp}
-        for (q, _letter), pb in apa.delta.items():
-            for t in pb_states(pb):
+        for (q, _letter), models in apa.delta.items():
+            for t in {t for m in models for t in bits(m)}:
                 assert position[q] <= position[t], (phi, q, t)
 
 
@@ -240,6 +265,16 @@ def test_state_in_collapsed_conjunction_is_not_numbered():
     beta = from_string("0001")
     assert from_rldl(phi, beta).n_states == 3
     assert reference_from_rldl(phi, beta).n_states == 3
+
+
+def test_state_only_in_absorbed_conjunctions_is_not_numbered():
+    # Many block states occur only in conjunctions that another disjunct
+    # absorbs; numbering them would give 17, 15 and 9 states.
+    phi = parse("(!z | !z -> (!m -> !m) | !m) & [{[(!z)] !z}?] !m", LogicId.RLDL)
+    for text in ("0001", "0011", "0111"):
+        beta = from_string(text)
+        assert from_rldl(phi, beta).n_states <= 2, text
+        assert reference_from_rldl(phi, beta).n_states == from_rldl(phi, beta).n_states
 
 
 _DUMP_APAS = """

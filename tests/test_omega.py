@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from _oracles import reference_direct_simulation, unpruned_apa_to_nba
 
-from robusttl.apa import APA, PBAnd, PBVar, apa_complement, from_rldl, pb_and, pb_or
+from robusttl.apa import APA, apa_complement, from_rldl
 from robusttl.formulas import LogicId
 from robusttl.gen import make_rng, random_formula, random_lasso
 from robusttl.guards import all_letters
@@ -69,8 +69,8 @@ def test_apa_to_nba_requires_weak():
     letters = all_letters(("p",))
     delta = {}
     for a in letters:
-        delta[(0, a)] = PBVar(1)
-        delta[(1, a)] = PBVar(0)
+        delta[(0, a)] = (1 << 1,)
+        delta[(1, a)] = (1 << 0,)
     bad = APA(("p",), 2, 0, delta, (0, 1))
     with pytest.raises(NotWeakError):
         apa_to_nba(bad)

@@ -4,20 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robusttl.formulas import LogicId
-from robusttl.gen import make_rng, random_formula, random_lasso
+from robusttl.formulas import PROMPT_LOGICS, LogicId
+from robusttl.gen import make_rng, random_formula, random_guard, random_lasso
+from robusttl.guards import prop_holds, thompson
 from robusttl.parser import parse, parse_guard
 from robusttl.semantics import (
     MissingBoundError,
+    _GuardEngine,
     eval_ldl,
     eval_ltl,
     eval_prompt_ltl,
     eval_rldl,
     eval_rltl,
     eval_rprompt_ltl,
+    evaluate,
     match_set,
 )
-from robusttl.traces import parse_trace
+from robusttl.traces import LassoTrace, parse_trace
 from robusttl.truth import ALL_VALUES, BOTTOM, TOP, V0001, V0011, V0111, negate
 
 letters = st.frozensets(st.sampled_from(["p", "q"]), max_size=2)
@@ -223,3 +226,68 @@ def test_box_max_lift_restores_monotonicity():
     assert str(rldl("[ {[tt*] p}? ] ff", "{} ; {p}")) == "1111"
     assert str(rldl("[ {[tt*] p}? ] ff", "; {} {p}")) == "1111"
     assert str(rldl("[ {[tt*] p}? ] ff", "{p} ; {}")) == "1111"
+
+
+def _recurring_matches(w, nfa, c):
+    """Classes where a test-free guard matches infinitely often from c:
+    run the subset automaton over the unrolled word until its
+    configuration repeats, then take the matches on the cycle."""
+
+    def close(states):
+        out = set(states)
+        stack = list(states)
+        while stack:
+            for t in nfa.eps[stack.pop()]:
+                if t not in out:
+                    out.add(t)
+                    stack.append(t)
+        return frozenset(out)
+
+    first: dict = {}
+    history = []
+    states = close({nfa.initial})
+    while (states, c) not in first:
+        first[(states, c)] = len(history)
+        history.append((states, c))
+        letter = w.letter_at(c)
+        states = close({t for q in states for f, t in nfa.letters[q] if prop_holds(letter, f)})
+        c = w.canonical_index(c + 1)
+    return frozenset(cls for s, cls in history[first[(states, c)]:] if s & nfa.finals)
+
+
+def test_recurring_match_classes_match_brute_force():
+    # A match class recurs only through pumping the start reaches; 17 of
+    # these cases disagreed while any pumping configuration counted.
+    rng = make_rng(3)
+    for _ in range(3000):
+        guard = random_guard(rng, ("p", "q"), rng.randint(1, 6), allow_tests=False)
+        w = random_lasso(rng, ("p", "q"))
+        c = rng.randrange(w.positions)
+        nfa = thompson(guard)
+        got = _GuardEngine(w, nfa, None).summary(c).infinite_classes
+        assert got == _recurring_matches(w, nfa, c), (guard, w, c)
+
+
+def _same_word(w):
+    """The word of w written as three other lassos."""
+    yield LassoTrace(w.prefix, w.loop + w.loop)
+    yield LassoTrace(w.prefix + w.loop[:1], w.loop[1:] + w.loop[:1])
+    yield LassoTrace(w.prefix + w.loop, w.loop)
+
+
+def test_value_independent_of_how_the_lasso_is_written():
+    # q* pumps on the loop but dies at once from position 0, so the
+    # single !p match must not count as recurring on either lasso.
+    phi = parse("[q* + !p] <p> <tt> p", LogicId.RLDL)
+    assert str(rldl("[q* + !p] <p> <tt> p", "{} ; {p,q} {q} {p,q}")) == "0011"
+    for w in _same_word(parse_trace("{} ; {p,q} {q} {p,q}")):
+        assert str(eval_rldl(w, phi)) == "0011", w
+    rng = make_rng(19)
+    for logic in LogicId:
+        for _ in range(60):
+            phi = random_formula(rng, logic, rng.randint(1, 8), ("p", "q"))
+            w = random_lasso(rng, ("p", "q"))
+            k = rng.randint(0, 5) if logic in PROMPT_LOGICS else None
+            value = evaluate(w, phi, logic, k)
+            for other in _same_word(w):
+                assert evaluate(other, phi, logic, k) == value, (logic, phi, w, other)

@@ -311,3 +311,27 @@ def test_translations_handle_deep_nesting():
             count += 1
         assert count == depth
         assert out == Atom("p")
+
+
+def test_logic_check_handles_deep_nesting():
+    from robusttl.formulas import Atom, Diamond, Eventually, PromptEventually, check_logic
+
+    depth = 5000
+    phi = Atom("p")
+    for _ in range(depth):
+        phi = Eventually(phi)
+    out = embed_rltl_in_rldl(phi)
+    count = 0
+    while isinstance(out, Diamond):
+        out = out.arg
+        count += 1
+    assert count == depth
+    assert out == Atom("p")
+    # The walk reaches the bottom and does not descend below the
+    # inadmissible node there.
+    bad = PromptEventually(PromptEventually(Atom("q")))
+    for _ in range(depth):
+        bad = Eventually(bad)
+    assert check_logic(bad, LogicId.RLTL) == [
+        "operator PromptEventually not admissible in rltl: Fp Fp q"
+    ]
