@@ -58,14 +58,33 @@ class HashOnce:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        # Defined in the class itself, so the dataclass decorator keeps it.
+        # Defined in the class itself, so the dataclass decorator keeps them.
         cls.__hash__ = HashOnce.__hash__
+        cls.__eq__ = HashOnce.__eq__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        """Field-by-field equality, walked with an explicit stack."""
+        if type(other) is not type(self):
+            return NotImplemented
+        work = [(self, other)]
+        while work:
+            a, b = work.pop()
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for x, y in zip(a.__dict__.values(), b.__dict__.values()):
+                if x is y:
+                    continue
+                if isinstance(x, HashOnce):
+                    work.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __reduce__(self):
         fields = tuple(v for k, v in self.__dict__.items() if k != "_hash")

@@ -403,28 +403,27 @@ def solve_prompt_game(
     """Solve a game with a prompt objective via the recoloring reduction.
 
     The relaxed objective (each prompt eventuality discharged before the
-    fresh color changes twice, colors changing infinitely often) is
-    compiled to a deterministic parity automaton; player 0 picks the color
-    bit each step.  Player 0 wins the original game iff it wins the
-    recolored parity game.  The strategy and the bound are read off the
-    product nodes the winning strategy reaches from the start: the bound
-    is 2 * (picks + 1) for the number of reached pick nodes.  A pick node
-    cannot repeat between two color changes, or the adversary could
-    repeat that cycle forever and the color would stop changing.  The
-    automaton is built over the formula's own propositions and the color;
-    arena labels are projected onto the former.
+    fresh color changes twice) is compiled to a deterministic parity
+    automaton, and ``omega.dpa_with_changes`` adds "the color changes
+    infinitely often"; player 0 picks the color bit each step.  Player 0
+    wins the original game iff it wins the recolored parity game.  The
+    strategy and the bound are read off the product nodes the winning
+    strategy reaches from the start: the bound is 2 * (picks + 1) for the
+    number of reached pick nodes.  A pick node cannot repeat between two
+    color changes, or the adversary could repeat that cycle forever and
+    the color would stop changing.  The automaton is built over the
+    formula's own propositions and the color; arena labels are projected
+    onto the former.
     """
-    from .formulas import And
     from .modelcheck import relax_prompt
-    from .omega import ldl_to_dpa
+    from .omega import dpa_with_changes, ldl_to_dpa
     from .translate import ltl_surface_to_ldl
 
     start = _start(graph, vertex)
-    props = sorted(propositions(psi))
     color_prop = _fresh_prop(propositions(psi) | graph.propositions)
+    props = sorted([*propositions(psi), color_prop])
     relaxed = ltl_surface_to_ldl(relax_prompt(psi, color_prop))
-    objective = And(relaxed, _changes_infinitely(color_prop))
-    dpa = ldl_to_dpa(objective, sorted([*props, color_prop]))
+    dpa = dpa_with_changes(ldl_to_dpa(relaxed, props), color_prop)
     game, back = _color_game(graph, dpa, color_prop, start)
     win0, _win1, strat0, _ = solve_parity(game)
     if 0 not in win0:
@@ -465,30 +464,6 @@ def _fresh_prop(props) -> str:
     while name in taken:
         name += "'"
     return name
-
-
-def _changes_infinitely(color_prop: str) -> Formula:
-    """LDL formula: the color proposition changes infinitely often."""
-    from .formulas import (
-        And,
-        Atom,
-        Box,
-        Diamond,
-        NegAtom,
-        Or,
-        Prop,
-        Star,
-        Tt,
-    )
-
-    c = Atom(color_prop)
-    nc = NegAtom(color_prop)
-    step = Prop(Tt())
-    change = Or(
-        And(c, Diamond(step, nc)),
-        And(nc, Diamond(step, c)),
-    )
-    return Box(Star(step), Diamond(Star(step), change))
 
 
 class GameFormatError(ValueError):

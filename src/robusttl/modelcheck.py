@@ -2,9 +2,9 @@
 
 Thresholded checks compile the negated property to an automaton over
 the formula's own propositions and search its product with the system
-for an accepting lasso; prompt checks use the alternating-color
-technique, solving a one-player recoloring game where the verifier
-controls only the fresh color proposition.
+for an accepting lasso.  Prompt checks solve a recoloring game where the
+verifier picks only the fresh color, over the relaxed property's parity
+automaton with "the color changes infinitely often" added as a product.
 """
 from __future__ import annotations
 

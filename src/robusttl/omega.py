@@ -629,6 +629,36 @@ def _minimize(props, letters, rows: list, color: list, initial: int) -> DPA:
     return _from_rows(props, letters, rows, color, initial)
 
 
+def dpa_with_changes(d: DPA, prop: str) -> DPA:
+    """The words of d on which prop changes its value infinitely often.
+
+    A state (q, bit, top, emit) holds d's state, prop in the last letter
+    (false at the start; one more change does not matter), d's top color
+    since the last change, and its own color: a change of prop emits
+    top + 2 and restarts top, any other letter emits 1.  The top color
+    emitted infinitely often is d's plus 2, or 1 if prop settles.
+    """
+    letters = all_letters(d.props)
+    bits = [prop in letter for letter in letters]
+    succ = _rows(d, letters)
+    start = (d.initial, False, d.color[d.initial], 1)
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for q, bit, top, _ in order:  # grows while it is walked
+        row = []
+        for b, t in zip(bits, succ[q]):
+            c = d.color[t]
+            node = (t, b, max(top, c), 1) if b == bit else (t, b, c, top + 2)
+            i = index.get(node)
+            if i is None:
+                i = index[node] = len(order)
+                order.append(node)
+            row.append(i)
+        rows.append(tuple(row))
+    return _minimize(d.props, letters, rows, [node[3] for node in order], 0)
+
+
 def dpa_minimize(d: DPA) -> DPA:
     """``dpa_quotient`` followed by least priorities and, while they let
     more states merge, the quotient again; see ``_minimize``."""

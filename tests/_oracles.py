@@ -28,6 +28,10 @@ built from every arena vertex: the breadth-first walk is seeded with
 (v, initial), resp. ('pick', v, initial), for every vertex v in arena
 order, so that node is numbered by v's position.
 
+changes_infinitely is the LDL formula "the color proposition changes
+infinitely often"; compiled in a conjunction with a relaxed prompt
+objective, it is the reference for ``omega.dpa_with_changes``.
+
 reference_from_rldl is the eager alternating-automaton compiler: every
 subformula and guard block gets states over every letter, a complement
 is a copied dual of everything its state reaches, and a final pass
@@ -57,6 +61,8 @@ from robusttl.formulas import (
     NegAtom,
     Not,
     Or,
+    Prop,
+    Star,
     Tt,
     format_formula,
     propositions,
@@ -875,3 +881,12 @@ def reference_color_game(graph, dpa, color_prop):
             out.append(index[node])
         edges.append(tuple(out))
     return ParityGame.numbered(owner, edges, color), back
+
+
+def changes_infinitely(color_prop: str) -> Formula:
+    """LDL formula: the color proposition changes infinitely often."""
+    c = Atom(color_prop)
+    nc = NegAtom(color_prop)
+    step = Prop(Tt())
+    change = Or(And(c, Diamond(step, nc)), And(nc, Diamond(step, c)))
+    return Box(Star(step), Diamond(Star(step), change))

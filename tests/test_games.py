@@ -3,20 +3,30 @@
 import pytest
 from _oracles import (
     brute_force_winner,
+    changes_infinitely,
     every_cycle_even,
     reference_color_game,
     reference_reduce_game,
     reference_solve_parity,
 )
 
-from robusttl.formulas import And, LogicId, LogicViolationError, propositions
+from robusttl.formulas import (
+    And,
+    Box,
+    LogicId,
+    LogicViolationError,
+    PromptDiamond,
+    Prop,
+    Star,
+    Tt,
+    propositions,
+)
 from robusttl.games import (
     GameFormatError,
     LabeledGameGraph,
     MealyStrategy,
     ParityGame,
     TerminalVertexError,
-    _changes_infinitely,
     _checked_reach,
     _color_game,
     _fresh_prop,
@@ -28,12 +38,20 @@ from robusttl.games import (
     solve_rldl_game,
     solve_rprompt_game,
 )
-from robusttl.gen import make_rng, random_labeled_game, random_parity_game
+from robusttl.gen import (
+    make_rng,
+    random_formula,
+    random_guard,
+    random_labeled_game,
+    random_lasso,
+    random_parity_game,
+)
 from robusttl.modelcheck import relax_prompt
-from robusttl.omega import ldl_to_dpa, rldl_to_dpa
+from robusttl.omega import dpa_accepts_lasso, dpa_with_changes, ldl_to_dpa, rldl_to_dpa
 from robusttl.parser import parse
 from robusttl.semantics import eval_prompt_ltl, eval_rldl
-from robusttl.translate import ltl_surface_to_ldl
+from robusttl.translate import fragment_translate, ltl_surface_to_ldl, rprompt_to_prompt
+from robusttl.truth import POSITIVE_VALUES
 from robusttl.truth import from_string as B
 
 
@@ -274,14 +292,57 @@ def test_start_color_games_match_all_vertex_reference(seed):
         psi = parse(text, LogicId.PROMPT_LTL)
         color_prop = _fresh_prop(propositions(psi) | graph.propositions)
         relaxed = ltl_surface_to_ldl(relax_prompt(psi, color_prop))
-        objective = And(relaxed, _changes_infinitely(color_prop))
-        dpa = ldl_to_dpa(objective, sorted([*propositions(psi), color_prop]))
+        props = sorted([*propositions(psi), color_prop])
+        dpa = dpa_with_changes(ldl_to_dpa(relaxed, props), color_prop)
         reference, reference_back = reference_color_game(graph, dpa, color_prop)
+        objective = And(relaxed, changes_infinitely(color_prop))
+        conjunction = ldl_to_dpa(objective, props)
+        conjunction_game = reference_color_game(graph, conjunction, color_prop)[0]
+        conjunction_win0 = solve_parity(conjunction_game)[0]
         for start, vertex in enumerate(graph.vertices):
             game, back = _color_game(graph, dpa, color_prop, start)
             check_start_game(game, back, reference, reference_back, start)
             winner = solve_prompt_game(graph, psi, vertex).winner
             assert (winner == 0) == (start in solve_parity(reference)[0])
+            assert (winner == 0) == (start in conjunction_win0)
+
+
+PQ = ("p", "q")
+
+
+def _prompt_objectives(seed):
+    """Seeded prompt formulas over {p, q}: robust prompt LTL of size 1-7
+    derobustified at every positive threshold, robust prompt LDL of the
+    fragment translated at every positive threshold, and prompt LDL
+    recurrences of test-free prompt diamonds."""
+    rng = make_rng(seed + 1500)
+    for _ in range(4):
+        phi = random_formula(rng, LogicId.RPROMPT_LTL, rng.randint(1, 7), PQ)
+        for beta in POSITIVE_VALUES:
+            yield rprompt_to_prompt(phi, beta)
+    text = ("[(tt;tt)*] <p tt*> q", "[tt*] <p tt*> q")[seed % 2]
+    yield fragment_translate(parse(text, LogicId.RPROMPT_LDL), POSITIVE_VALUES[seed // 2 % 4])
+    guard = random_guard(rng, PQ, rng.randint(1, 4), allow_tests=False)
+    yield Box(Star(Prop(Tt())), PromptDiamond(guard, random_formula(rng, LogicId.LDL, 1, PQ)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_change_product_matches_compiled_change_condition(seed):
+    # dpa_with_changes accepts the lassos of the relaxed objective that
+    # change the color infinitely often, as the conjunction compiled with
+    # the change condition does, and stays within its state bound.
+    rng = make_rng(seed + 1600)
+    props = ("c", "p", "q")
+    for psi in _prompt_objectives(seed):
+        relaxed = ltl_surface_to_ldl(relax_prompt(psi, "c"))
+        dpa = ldl_to_dpa(relaxed, props)
+        product = dpa_with_changes(dpa, "c")
+        reference = ldl_to_dpa(And(relaxed, changes_infinitely("c")), props)
+        colors = len(set(dpa.color))
+        assert product.n_states <= dpa.n_states * 2 * colors * (colors + 1)
+        for _ in range(20):
+            w = random_lasso(rng, props, 3, 4)
+            assert dpa_accepts_lasso(product, w) == dpa_accepts_lasso(reference, w), (psi, w)
 
 
 SAFETY = parse("[tt*] p", LogicId.RLDL)

@@ -224,3 +224,27 @@ def test_pickled_formula_is_hashed_where_it_is_loaded():
         env=dict(os.environ, PYTHONHASHSEED="1"),
     )
     assert loaded.stdout == b"ok\n"
+
+
+def test_deep_formulas_compare_without_recursion():
+    from robusttl.formulas import Next
+    from robusttl.translate import ltl_surface_to_ldl
+
+    def nest(depth, bottom):
+        phi = bottom
+        for _ in range(depth):
+            phi = Next(phi)
+        return phi
+
+    a = nest(5000, Atom("p"))
+    b = nest(5000, Atom("p"))
+    assert a is not b and a == b and not a != b
+    assert a != nest(5000, Atom("q"))
+    assert a != nest(4999, Atom("p"))
+    assert a != nest(5000, NegAtom("p"))
+    # Nodes of different classes with equal fields differ.
+    assert Eventually(Atom("p")) != Always(Atom("p"))
+    assert Star(Prop(Tt())) == Star(Prop(Tt()))
+    assert Atom("p") != "p" and Atom("p").__eq__("p") is NotImplemented
+    out = ltl_surface_to_ldl(And(a, b))
+    assert isinstance(out, And) and out.left == out.right
