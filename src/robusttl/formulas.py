@@ -4,6 +4,15 @@ One formula type covers all logics; a logic identifier selects which
 operators are admissible.  Guards (the regular expressions inside the
 dynamic-logic modalities) are a separate small tree whose atoms are either
 propositional formulas or tests of formulas.
+
+Every pass over the tree is one of three traversals, each with its own
+stack, so nothing here recurses on the depth of a formula.  ``walk``
+visits each node once in preorder; closure, propositions and the
+admissibility check are walks.  ``_fold`` computes a value per node
+from the values of its parts; guard lengths, guard tests and the
+printer, which reads one table of operator syntax, are folds.  Both tell
+nodes apart by identity.  ``rewrite`` rebuilds a formula by a rule per
+node, once per distinct subformula; the translations are rewrites.
 """
 from __future__ import annotations
 
@@ -236,9 +245,9 @@ class Star(Guard):
 # The guard denoting the empty-word language.
 EPSILON_GUARD = Star(Prop(Ff()))
 
-# The fields that rewrite descends into, per node class, in constructor
-# order: every subformula and subguard, but not the propositional formula
-# of a guard atom.
+# The fields that the traversals descend into, per node class, in
+# constructor order: every subformula and subguard, but not the
+# propositional formula of a guard atom.
 _PARTS = {
     **dict.fromkeys((Tt, Ff, Atom, NegAtom, Prop), lambda node: ()),
     **dict.fromkeys(
@@ -251,6 +260,68 @@ _PARTS = {
     **dict.fromkeys((Diamond, Box, PromptDiamond), attrgetter("guard", "arg")),
     Test: lambda node: (node.formula,),
 }
+
+_MODAL = (Diamond, Box, PromptDiamond)
+
+
+def _parts(node) -> tuple:
+    return _PARTS[type(node)](node)
+
+
+def _fields(node) -> tuple:
+    """The parts, and the formula of a guard atom too."""
+    return (node.formula,) if type(node) is Prop else _PARTS[type(node)](node)
+
+
+def _guard_parts(node) -> tuple:
+    """The parts of a guard node, but not the formula of a test."""
+    return () if type(node) is Test else _PARTS[type(node)](node)
+
+
+def walk(root: Formula | Guard, parts: Callable = _parts):
+    """Each node below root once, in preorder.
+
+    A node comes first, then the nodes that ``parts`` gives for it (by
+    default its parts, as ``rewrite`` sees them), left to right.  Nodes
+    are told apart by identity: a shared subtree is visited once, and
+    equal subtrees that are distinct objects are each visited.  The walk
+    keeps its own stack, so deep nesting does not reach the recursion
+    limit.
+    """
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node
+        stack.extend(reversed(parts(node)))
+
+
+def _fold(root: Formula | Guard, combine: Callable, parts: Callable):
+    """The value ``combine(node, values of its parts)`` at root.
+
+    Values are computed bottom-up with an explicit stack and kept by
+    node identity, so a shared subtree is combined once per call.
+    """
+    done: dict[int, object] = {}
+    stack: list = [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # a node whose parts are done
+            node, below = node
+            done[id(node)] = combine(node, [done[id(part)] for part in below])
+            continue
+        if id(node) in done:
+            continue
+        below = parts(node)
+        if below:
+            stack.append((node, below))
+            stack.extend(below)
+        else:
+            done[id(node)] = combine(node, below)
+    return done[id(root)]
 
 
 def rewrite(phi: Formula, rule: Callable[[Formula], Formula]) -> Formula:
@@ -287,28 +358,13 @@ def rewrite(phi: Formula, rule: Callable[[Formula], Formula]) -> Formula:
     return done[phi] or phi
 
 
-def _children(phi: Formula) -> tuple[Formula, ...]:
-    if isinstance(phi, (Not, Next, Eventually, Always, PromptEventually)):
-        return (phi.arg,)
-    if isinstance(phi, (And, Or, Implies, Until, Release)):
-        return (phi.left, phi.right)
-    if isinstance(phi, (Diamond, Box, PromptDiamond)):
-        return (phi.arg,)
-    return ()
-
-
 def guard_tests(guard: Guard) -> tuple[Formula, ...]:
     """All test formulas occurring in a guard, in syntactic order."""
-    if isinstance(guard, Prop):
-        return ()
-    if isinstance(guard, Test):
-        return (guard.formula,)
-    if isinstance(guard, (Alt, Concat)):
-        return guard_tests(guard.left) + guard_tests(guard.right)
-    if isinstance(guard, Star):
-        return guard_tests(guard.arg)
-    msg = f"unknown guard node {guard!r}"
-    raise TypeError(msg)
+    return _fold(
+        guard,
+        lambda node, below: (node.formula,) if type(node) is Test else sum(below, ()),
+        _guard_parts,
+    )
 
 
 def closure(phi: Formula) -> frozenset[Formula]:
@@ -317,38 +373,18 @@ def closure(phi: Formula) -> frozenset[Formula]:
     Test formulas inside guards contribute their own closures; the
     propositional guard atoms do not.
     """
-    seen: set[Formula] = set()
-    stack = [phi]
-    while stack:
-        f = stack.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        stack.extend(_children(f))
-        if isinstance(f, (Diamond, Box, PromptDiamond)):
-            stack.extend(guard_tests(f.guard))
-    return frozenset(seen)
+    return frozenset(node for node in walk(phi) if isinstance(node, Formula))
 
 
 def guard_length(guard: Guard) -> int:
     """Number of guard nodes: atoms, tests and regular operators."""
-    if isinstance(guard, (Prop, Test)):
-        return 1
-    if isinstance(guard, (Alt, Concat)):
-        return 1 + guard_length(guard.left) + guard_length(guard.right)
-    if isinstance(guard, Star):
-        return 1 + guard_length(guard.arg)
-    msg = f"unknown guard node {guard!r}"
-    raise TypeError(msg)
+    return _fold(guard, lambda node, below: 1 + sum(below), _guard_parts)
 
 
 def size(phi: Formula) -> int:
     """Distinct subformulas plus total guard length (with multiplicity)."""
-    guards_total = 0
-    for f in closure(phi):
-        if isinstance(f, (Diamond, Box, PromptDiamond)):
-            guards_total += guard_length(f.guard)
-    return len(closure(phi)) + guards_total
+    sub = closure(phi)
+    return len(sub) + sum(guard_length(f.guard) for f in sub if isinstance(f, _MODAL))
 
 
 def propositions(phi: Formula | Guard) -> frozenset[str]:
@@ -356,47 +392,17 @@ def propositions(phi: Formula | Guard) -> frozenset[str]:
 
     Guard atoms and tests count, as do the guards inside a formula.
     """
-    out: set[str] = set()
-    stack: list[Formula | Guard] = [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Atom, NegAtom)):
-            out.add(node.name)
-        elif isinstance(node, (Not, Next, Eventually, Always, PromptEventually)):
-            stack.append(node.arg)
-        elif isinstance(node, (And, Or, Implies, Until, Release)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, (Diamond, Box, PromptDiamond)):
-            stack.extend((node.guard, node.arg))
-        elif isinstance(node, (Prop, Test)):
-            stack.append(node.formula)
-        elif isinstance(node, (Alt, Concat)):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Star):
-            stack.append(node.arg)
-    return frozenset(out)
+    return frozenset(
+        node.name for node in walk(phi, _fields) if type(node) in (Atom, NegAtom)
+    )
+
+
+_PROPOSITIONAL = frozenset({Tt, Ff, Atom, NegAtom, Not, And, Or, Implies})
 
 
 def is_propositional(phi: Formula) -> bool:
     """True for Boolean combinations of atoms, tt and ff (no general not)."""
-    if isinstance(phi, (Tt, Ff, Atom, NegAtom)):
-        return True
-    if isinstance(phi, Not):
-        return is_propositional(phi.arg)
-    if isinstance(phi, (And, Or, Implies)):
-        return is_propositional(phi.left) and is_propositional(phi.right)
-    return False
-
-
-def is_test_free(phi_or_guard: Formula | Guard) -> bool:
-    """True when no guard in the input contains a test."""
-    if isinstance(phi_or_guard, Guard):
-        return not guard_tests(phi_or_guard)
-    ok = True
-    for f in closure(phi_or_guard):
-        if isinstance(f, (Diamond, Box, PromptDiamond)) and guard_tests(f.guard):
-            ok = False
-    return ok
+    return all(type(node) in _PROPOSITIONAL for node in walk(phi))
 
 
 # Admissible node classes per logic.  Guards impose additional rules
@@ -429,41 +435,35 @@ _SURFACE: dict[LogicId, tuple[type, ...]] = {
 def check_logic(phi: Formula, logic: LogicId) -> list[str]:
     """Return a list of admissibility violations (empty when well-formed).
 
-    Walks with an explicit stack in preorder, a node's children before
-    the tests of its guard, and not below an inadmissible node.
+    Walks in preorder, the argument of a modal node before its guard and
+    the tests in it, each subformula once and not below an inadmissible
+    node.
     """
     allowed = _SURFACE[logic]
     violations: list[str] = []
     seen: set[Formula] = set()
-    stack: list = [phi]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Guard):
-            if isinstance(f, Prop):
-                if not is_propositional(f.formula):
-                    violations.append(
-                        "guard atom must be propositional:"
-                        f" {format_formula(f.formula)}"
-                    )
-            elif isinstance(f, Test):
-                stack.append(f.formula)
-            elif isinstance(f, (Alt, Concat)):
-                stack += (f.right, f.left)
-            elif isinstance(f, Star):
-                stack.append(f.arg)
-            continue
-        if f in seen:
-            continue
-        seen.add(f)
-        if not isinstance(f, allowed):
+
+    def parts(node) -> tuple:
+        if isinstance(node, Formula):
+            if node in seen:
+                return ()
+            seen.add(node)
+            if not isinstance(node, allowed):
+                violations.append(
+                    f"operator {type(node).__name__} not admissible in {logic.value}:"
+                    f" {format_formula(node)}"
+                )
+                return ()
+            if isinstance(node, _MODAL):
+                return node.arg, node.guard
+        elif type(node) is Prop and not is_propositional(node.formula):
             violations.append(
-                f"operator {type(f).__name__} not admissible in {logic.value}:"
-                f" {format_formula(f)}"
+                f"guard atom must be propositional: {format_formula(node.formula)}"
             )
-            continue
-        if isinstance(f, (Diamond, Box, PromptDiamond)):
-            stack.append(f.guard)
-        stack.extend(reversed(_children(f)))
+        return _PARTS[type(node)](node)
+
+    for _node in walk(phi, parts):
+        pass
     return violations
 
 
@@ -474,100 +474,55 @@ def require_logic(phi: Formula, logic: LogicId) -> None:
         raise LogicViolationError(logic, violations)
 
 
-# Printing.  Precedence levels, loosest first: -> 1, | 2, & 3, U/R 4,
-# unary operators 5, atoms 6.  -> and U/R associate to the right.
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNTIL = 4
-_PREC_UNARY = 5
-_PREC_ATOM = 6
+# Printing: per node class, the text before its first part; then, for
+# each part, the least level at which it prints without parentheses and
+# the text after it; and the level of the result.  Formula levels,
+# loosest first: -> 1, | 2, & 3, U/R 4, unary operators 5, atoms 6; ->
+# and U/R associate to the right.  Guard levels: + 1, ; 2, * 3, atoms
+# and tests 4.  A guard atom puts parentheses around anything but tt, ff
+# and an atom.
+_SYNTAX = {
+    Tt: ("tt", (), 6),
+    Ff: ("ff", (), 6),
+    Not: ("!", ((5, ""),), 5),
+    And: ("", ((3, " & "), (3, "")), 3),
+    Or: ("", ((2, " | "), (2, "")), 2),
+    Implies: ("", ((2, " -> "), (1, "")), 1),
+    Next: ("X ", ((5, ""),), 5),
+    Until: ("", ((5, " U "), (4, "")), 4),
+    Release: ("", ((5, " R "), (4, "")), 4),
+    Eventually: ("F ", ((5, ""),), 5),
+    Always: ("G ", ((5, ""),), 5),
+    PromptEventually: ("Fp ", ((5, ""),), 5),
+    Diamond: ("<", ((0, "> "), (5, "")), 5),
+    Box: ("[", ((0, "] "), (5, "")), 5),
+    PromptDiamond: ("<p ", ((0, "> "), (5, "")), 5),
+    Prop: ("", ((6, ""),), 4),
+    Test: ("{", ((0, "}?"),), 4),
+    Alt: ("", ((1, " + "), (1, "")), 1),
+    Concat: ("", ((2, " ; "), (2, "")), 2),
+    Star: ("", ((4, "*"),), 3),
+}
 
 
-def _fmt(phi: Formula, min_prec: int) -> str:
-    text, prec = _fmt_prec(phi)
-    if prec < min_prec:
-        return f"({text})"
-    return text
-
-
-def _fmt_prec(phi: Formula) -> tuple[str, int]:
-    if isinstance(phi, Tt):
-        return "tt", _PREC_ATOM
-    if isinstance(phi, Ff):
-        return "ff", _PREC_ATOM
-    if isinstance(phi, Atom):
-        return phi.name, _PREC_ATOM
-    if isinstance(phi, NegAtom):
-        return f"!{phi.name}", _PREC_UNARY
-    if isinstance(phi, Not):
-        return f"!{_fmt(phi.arg, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, And):
-        return f"{_fmt(phi.left, _PREC_AND)} & {_fmt(phi.right, _PREC_AND)}", _PREC_AND
-    if isinstance(phi, Or):
-        return f"{_fmt(phi.left, _PREC_OR)} | {_fmt(phi.right, _PREC_OR)}", _PREC_OR
-    if isinstance(phi, Implies):
-        left = _fmt(phi.left, _PREC_IMPLIES + 1)
-        right = _fmt(phi.right, _PREC_IMPLIES)
-        return f"{left} -> {right}", _PREC_IMPLIES
-    if isinstance(phi, Next):
-        return f"X {_fmt(phi.arg, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, Until):
-        left = _fmt(phi.left, _PREC_UNTIL + 1)
-        right = _fmt(phi.right, _PREC_UNTIL)
-        return f"{left} U {right}", _PREC_UNTIL
-    if isinstance(phi, Release):
-        left = _fmt(phi.left, _PREC_UNTIL + 1)
-        right = _fmt(phi.right, _PREC_UNTIL)
-        return f"{left} R {right}", _PREC_UNTIL
-    if isinstance(phi, Eventually):
-        return f"F {_fmt(phi.arg, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, Always):
-        return f"G {_fmt(phi.arg, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, PromptEventually):
-        return f"Fp {_fmt(phi.arg, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, Diamond):
-        return f"<{format_guard(phi.guard)}> {_fmt(phi.arg, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, Box):
-        return f"[{format_guard(phi.guard)}] {_fmt(phi.arg, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, PromptDiamond):
-        guard = format_guard(phi.guard)
-        return f"<p {guard}> {_fmt(phi.arg, _PREC_UNARY)}", _PREC_UNARY
-    msg = f"unknown formula node {phi!r}"
-    raise TypeError(msg)
+def _print(node, below) -> tuple[str, int]:
+    """The text of a node and its level, from those of its fields."""
+    kind = type(node)
+    if kind is Atom:
+        return node.name, 6
+    if kind is NegAtom:
+        return f"!{node.name}", 5
+    text, after, level = _SYNTAX[kind]
+    for (part, at), (need, piece) in zip(below, after):
+        text += (f"({part})" if at < need else part) + piece
+    return text, level
 
 
 def format_formula(phi: Formula) -> str:
     """Render a formula in the concrete syntax accepted by parse."""
-    return _fmt(phi, 0)
-
-
-# Guard precedence: + 1, ; 2, * 3, atoms 4.
-def _gfmt(guard: Guard, min_prec: int) -> str:
-    text, prec = _gfmt_prec(guard)
-    if prec < min_prec:
-        return f"({text})"
-    return text
-
-
-def _gfmt_prec(guard: Guard) -> tuple[str, int]:
-    if isinstance(guard, Prop):
-        text, _prec = _fmt_prec(guard.formula)
-        if isinstance(guard.formula, (Tt, Ff, Atom)):
-            return text, 4
-        return f"({text})", 4
-    if isinstance(guard, Test):
-        return f"{{{format_formula(guard.formula)}}}?", 4
-    if isinstance(guard, Alt):
-        return f"{_gfmt(guard.left, 1)} + {_gfmt(guard.right, 1)}", 1
-    if isinstance(guard, Concat):
-        return f"{_gfmt(guard.left, 2)} ; {_gfmt(guard.right, 2)}", 2
-    if isinstance(guard, Star):
-        return f"{_gfmt(guard.arg, 4)}*", 3
-    msg = f"unknown guard node {guard!r}"
-    raise TypeError(msg)
+    return _fold(phi, _print, _fields)[0]
 
 
 def format_guard(guard: Guard) -> str:
     """Render a guard in the concrete syntax accepted by the parser."""
-    return _gfmt(guard, 0)
+    return _fold(guard, _print, _fields)[0]

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .apa import APA, AlphabetMismatchError, extend, is_weak, normalize_colors
+from .apa import APA, AlphabetMismatchError, extend, is_weak
 from .formulas import Formula, LogicId, require_logic
 from .graphs import least_priorities, sccs
 from .guards import all_letters
@@ -659,28 +659,6 @@ def dpa_with_changes(d: DPA, prop: str) -> DPA:
     return _minimize(d.props, letters, rows, [node[3] for node in order], 0)
 
 
-def dpa_minimize(d: DPA) -> DPA:
-    """``dpa_quotient`` followed by least priorities and, while they let
-    more states merge, the quotient again; see ``_minimize``."""
-    letters = all_letters(d.props)
-    return _minimize(d.props, letters, _rows(d, letters), d.color, d.initial)
-
-
-def dpa_quotient(d: DPA) -> DPA:
-    """Merge states that no run can tell apart by its colors.
-
-    Blocks are numbered in breadth-first order from the initial state,
-    letters in alphabet order; when nothing merges, the automaton is
-    returned as it is.  See ``_quotient``.
-    """
-    letters = all_letters(d.props)
-    rows = _rows(d, letters)
-    merged, color, initial = _quotient(rows, d.color, d.initial)
-    if merged is rows:
-        return d
-    return _from_rows(d.props, letters, merged, color, initial)
-
-
 def _rows(d: DPA, letters) -> list:
     """Each state's successors, one per letter in the order given."""
     return [
@@ -744,13 +722,6 @@ def _quotient(rows: list, color, initial: int):
             row.append(i)
         merged.append(tuple(row))
     return merged, [color[member[b]] for b in order], 0
-
-
-def dpa_complement(d: DPA) -> DPA:
-    """Shift every color by one; same structure, complementary language."""
-    return normalize_colors(
-        DPA(d.props, d.n_states, d.initial, d.delta, tuple(c + 1 for c in d.color))
-    )
 
 
 def dpa_accepts_lasso(d: DPA, trace: LassoTrace) -> bool:

@@ -32,12 +32,12 @@ from .formulas import (
     Test,
     Tt,
     Until,
-    closure,
     format_guard,
     guard_tests,
     propositions,
     require_logic,
     rewrite,
+    walk,
 )
 from .guards import determinize, extract_regex, is_limit_matching, thompson
 from .truth import BOTTOM, TOP, TruthValue4, V0011, V0111
@@ -137,31 +137,21 @@ def ltl_surface_to_ldl(phi: Formula) -> Formula:
     return rewrite(phi, rule)
 
 
-def _modal_guards(phi: Formula):
-    """Guards of every modal node in the closure, in encounter order."""
-    out = []
-    for f in closure(phi):
-        if isinstance(f, (Diamond, Box, PromptDiamond)):
-            out.append(f.guard)
-    return out
-
-
 def check_fragment(phi: Formula) -> None:
-    """Validate the test-free limit-matching fragment conditions."""
+    """Validate the test-free limit-matching fragment conditions.
+
+    Offending guards are listed once each, in syntactic order.
+    """
     require_logic(phi, LogicId.RPROMPT_LDL)
-    with_tests = [g for g in _modal_guards(phi) if guard_tests(g)]
+    guards = dict.fromkeys(
+        f.guard for f in walk(phi) if isinstance(f, (Diamond, Box, PromptDiamond))
+    )
+    with_tests = [g for g in guards if guard_tests(g)]
     if with_tests:
         listing = ", ".join(format_guard(g) for g in with_tests)
         msg = f"guards contain tests: {listing}"
         raise NotTestFreeError(msg)
-    offenders = []
-    seen = set()
-    for g in _modal_guards(phi):
-        if g in seen:
-            continue
-        seen.add(g)
-        if not is_limit_matching(g):
-            offenders.append(g)
+    offenders = [g for g in guards if not is_limit_matching(g)]
     if offenders:
         raise NotLimitMatchingError(offenders)
 

@@ -28,6 +28,11 @@ built from every arena vertex: the breadth-first walk is seeded with
 (v, initial), resp. ('pick', v, initial), for every vertex v in arena
 order, so that node is numbered by v's position.
 
+dpa_quotient, dpa_minimize and dpa_complement are parity automata
+built from a whole DPA by the routines of ``omega``: the Moore quotient
+alone, the quotient with least priorities as every compiled DPA gets
+them, and the automaton with every color shifted by one.
+
 changes_infinitely is the LDL formula "the color proposition changes
 infinitely often"; compiled in a conjunction with a relaxed prompt
 objective, it is the reference for ``omega.dpa_with_changes``.
@@ -44,7 +49,7 @@ int bitmasks, only at the end.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from robusttl.apa import APA, AlphabetMismatchError, normalize_colors
 from robusttl.formulas import (
@@ -69,6 +74,7 @@ from robusttl.formulas import (
     require_logic,
 )
 from robusttl.guards import all_letters, prop_holds, simple_eps_closure, thompson
+from robusttl.omega import _from_rows, _minimize, _quotient, _rows
 from robusttl.truth import ALL_VALUES, BOTTOM, TOP, TruthValue4
 
 
@@ -890,3 +896,26 @@ def changes_infinitely(color_prop: str) -> Formula:
     step = Prop(Tt())
     change = Or(And(c, Diamond(step, nc)), And(nc, Diamond(step, c)))
     return Box(Star(step), Diamond(Star(step), change))
+
+
+def dpa_quotient(d):
+    """Merge states that no run can tell apart by its colors; d itself
+    when nothing merges."""
+    letters = all_letters(d.props)
+    rows = _rows(d, letters)
+    merged, color, initial = _quotient(rows, d.color, d.initial)
+    if merged is rows:
+        return d
+    return _from_rows(d.props, letters, merged, color, initial)
+
+
+def dpa_minimize(d):
+    """The quotient, least priorities and the quotient again while they
+    let more states merge, as ``omega._minimize`` makes every DPA."""
+    letters = all_letters(d.props)
+    return _minimize(d.props, letters, _rows(d, letters), d.color, d.initial)
+
+
+def dpa_complement(d):
+    """Every color shifted by one: same structure, complementary language."""
+    return normalize_colors(replace(d, color=tuple(c + 1 for c in d.color)))

@@ -471,6 +471,44 @@ def test_fuzz_reports_ok_and_is_deterministic(capsys):
     assert second == first
 
 
+def test_fragment_errors_independent_of_hash_seed():
+    # Offending guards are listed in syntactic order, not in hash order.
+    cases = (
+        (
+            "[p*] q & [q*] p & [(p;q)*] r & <r*> p",
+            "error: guards are not limit-matching: p*, q*, (p ; q)*, r*\n",
+        ),
+        (
+            "[{p}?;p] q & [{q}?;q] p & [{r}?;r] r",
+            "error: guards contain tests: {p}? ; p, {q}? ; q, {r}? ; r\n",
+        ),
+    )
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        for formula, want in cases:
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "robusttl.cli",
+                    "translate",
+                    "--from",
+                    "rpromptldl",
+                    "--to",
+                    "promptldl",
+                    "--beta",
+                    "0011",
+                    "--formula",
+                    formula,
+                ],
+                capture_output=True,
+                text=True,
+                check=False,
+                env=env,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", want), seed
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["eval", "--logic", "rldl"])

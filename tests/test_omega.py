@@ -4,7 +4,13 @@ import sys
 from dataclasses import replace
 
 import pytest
-from _oracles import reference_direct_simulation, unpruned_apa_to_nba
+from _oracles import (
+    dpa_complement,
+    dpa_minimize,
+    dpa_quotient,
+    reference_direct_simulation,
+    unpruned_apa_to_nba,
+)
 
 from robusttl.apa import APA, apa_complement, from_rldl
 from robusttl.formulas import LogicId
@@ -17,10 +23,7 @@ from robusttl.omega import (
     NotWeakError,
     apa_to_nba,
     dpa_accepts_lasso,
-    dpa_complement,
     direct_simulation,
-    dpa_minimize,
-    dpa_quotient,
     ldl_to_dpa,
     nba_accepts_lasso,
     nba_emptiness,

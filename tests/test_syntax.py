@@ -17,6 +17,7 @@ from robusttl.formulas import (
     LogicId,
     LogicViolationError,
     NegAtom,
+    Next,
     Not,
     PromptDiamond,
     PromptEventually,
@@ -31,6 +32,7 @@ from robusttl.formulas import (
     format_guard,
     guard_length,
     guard_tests,
+    is_propositional,
     propositions,
     require_logic,
     size,
@@ -188,7 +190,9 @@ def test_random_formulas_stay_admissible():
         for _ in range(40):
             phi = random_formula(rng, logic, rng.randint(1, 10), ("p", "q"))
             require_logic(phi, logic)
-            assert parse(format_formula(phi)) is not None
+            # Printing is a fixed point of parse and print.
+            text = format_formula(phi)
+            assert format_formula(parse(text)) == text
 
 
 _PICKLE_DUMP = """
@@ -227,7 +231,6 @@ def test_pickled_formula_is_hashed_where_it_is_loaded():
 
 
 def test_deep_formulas_compare_without_recursion():
-    from robusttl.formulas import Next
     from robusttl.translate import ltl_surface_to_ldl
 
     def nest(depth, bottom):
@@ -248,3 +251,119 @@ def test_deep_formulas_compare_without_recursion():
     assert Atom("p") != "p" and Atom("p").__eq__("p") is NotImplemented
     out = ltl_surface_to_ldl(And(a, b))
     assert isinstance(out, And) and out.left == out.right
+
+
+def _deep_cases():
+    """Deeply nested inputs, each with the guard to check and the values
+    that every analysis and the printer must give for them."""
+    n = 5000
+    # X^5000 p
+    chain = [Atom("p")]
+    for _ in range(n):
+        chain.append(Next(chain[-1]))
+    text = "X " * n + "p"
+    yield {
+        "phi": chain[-1],
+        "text": text,
+        "guard": GuardTest(chain[-1]),
+        "guard_text": "{" + text + "}?",
+        "closure": frozenset(chain),
+        "size": n + 1,
+        "props": {"p"},
+        "tests": (chain[-1],),
+        "length": 1,
+        "propositional": False,
+        "violations": {
+            LogicId.LTL: [],
+            LogicId.LDL: ["operator Next not admissible in ldl: " + text],
+        },
+    }
+    # A diamond over a 5000-deep ; guard: p ; p ; ... ; {q}?
+    guard = GuardTest(Atom("q"))
+    for _ in range(n):
+        guard = Concat(Prop(Atom("p")), guard)
+    guard_text = "p ; " * n + "{q}?"
+    phi = Diamond(guard, Atom("r"))
+    yield {
+        "phi": phi,
+        "text": f"<{guard_text}> r",
+        "guard": guard,
+        "guard_text": guard_text,
+        "closure": frozenset({phi, Atom("r"), Atom("q")}),
+        "size": 3 + 2 * n + 1,
+        "props": {"p", "q", "r"},
+        "tests": (Atom("q"),),
+        "length": 2 * n + 1,
+        "propositional": False,
+        "violations": {
+            LogicId.LDL: [],
+            LogicId.LTL: [f"operator Diamond not admissible in ltl: <{guard_text}> r"],
+        },
+    }
+    # A guard atom holding a 3000-deep & chain: [(a0 & ... & a3000)*] s
+    m = 3000
+    atom = Atom("a0")
+    for i in range(1, m + 1):
+        atom = And(atom, Atom(f"a{i}"))
+    conj = " & ".join(f"a{i}" for i in range(m + 1))
+    guard = Star(Prop(atom))
+    phi = Box(guard, Atom("s"))
+    yield {
+        "phi": phi,
+        "text": f"[({conj})*] s",
+        "guard": guard,
+        "guard_text": f"({conj})*",
+        "closure": frozenset({phi, Atom("s")}),
+        "size": 4,
+        "props": {f"a{i}" for i in range(m + 1)} | {"s"},
+        "tests": (),
+        "length": 2,
+        "propositional": False,
+        "violations": {
+            LogicId.RLDL: [],
+            LogicId.RLTL: [f"operator Box not admissible in rltl: [({conj})*] s"],
+        },
+    }
+    # A 5000-deep formula with an inadmissible operator at its top.
+    chain = [Atom("p")]
+    for _ in range(n - 1):
+        chain.append(Not(chain[-1]))
+    nots = "!" * (n - 1) + "p"
+    phi = PromptEventually(chain[-1])
+    yield {
+        "phi": phi,
+        "text": "Fp " + nots,
+        "guard": GuardTest(phi),
+        "guard_text": "{Fp " + nots + "}?",
+        "closure": frozenset([*chain, phi]),
+        "size": n + 1,
+        "props": {"p"},
+        "tests": (phi,),
+        "length": 1,
+        "propositional": False,
+        "violations": {
+            LogicId.LTL: ["operator PromptEventually not admissible in ltl: Fp " + nots],
+            LogicId.PROMPT_LTL: ["operator Not not admissible in promptltl: " + nots],
+        },
+    }
+
+
+def test_deep_formulas_analyse_and_print_without_recursion():
+    for case in _deep_cases():
+        phi, guard = case["phi"], case["guard"]
+        assert str(phi) == format_formula(phi) == case["text"]
+        assert str(guard) == format_guard(guard) == case["guard_text"]
+        assert closure(phi) == case["closure"]
+        assert size(phi) == case["size"]
+        assert propositions(phi) == case["props"]
+        assert guard_tests(guard) == case["tests"]
+        assert guard_length(guard) == case["length"]
+        assert is_propositional(phi) is case["propositional"]
+        for logic, violations in case["violations"].items():
+            assert check_logic(phi, logic) == violations
+    # A deep chain that is propositional, and one that is not at its bottom.
+    for bottom, propositional in ((Atom("p"), True), (Next(Atom("p")), False)):
+        phi = bottom
+        for _ in range(5000):
+            phi = Not(And(phi, Atom("q")))
+        assert is_propositional(phi) is propositional

@@ -119,6 +119,13 @@ def test_check_fragment_lists_every_offender():
         check_fragment(phi)
     assert "p*" in str(err.value)
     assert "q*" in str(err.value)
+    # Each offender once, in syntactic order.
+    with pytest.raises(NotLimitMatchingError) as err:
+        check_fragment(parse("[q*] s & <p*> s & [q*] <p*> s"))
+    assert str(err.value) == "guards are not limit-matching: q*, p*"
+    with pytest.raises(NotTestFreeError) as err:
+        check_fragment(parse("[{q}? ; q] s & <{q}? ; q> s"))
+    assert str(err.value) == "guards contain tests: {q}? ; q"
 
 
 def test_fragment_translate_even_sync():
