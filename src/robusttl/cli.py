@@ -4,8 +4,7 @@ Subcommands: eval, translate, compile, mc, synth, guard-check, fuzz.
 Exit codes: 0 success / property holds / player 0 wins, 1 property
 violated / player 1 wins / divergence found, 2 usage or input error
 (a formula nested too deeply for the passes that still recurse, the
-parser, the evaluator, the APA compiler and Thompson's construction,
-counts as one),
+parser, the evaluator and the APA compiler, counts as one),
 3 internal error: any other exception, reported as `internal error: …`.
 All output is deterministic given identical inputs and seeds.
 """

@@ -5,18 +5,23 @@ operators are admissible.  Guards (the regular expressions inside the
 dynamic-logic modalities) are a separate small tree whose atoms are either
 propositional formulas or tests of formulas.
 
-Every pass over the tree is one of three traversals, each with its own
+Nodes are interned when they are built (hash-consing): equal nodes are
+one object, so equality is identity, and every cache keyed by formula
+finds an equal node without comparing subtrees.
+
+Every pass over the tree is one of two traversals, each with its own
 stack, so nothing here recurses on the depth of a formula.  ``walk``
 visits each node once in preorder; closure, propositions and the
 admissibility check are walks.  ``_fold`` computes a value per node
-from the values of its parts; guard lengths, guard tests and the
-printer, which reads one table of operator syntax, are folds.  Both tell
-nodes apart by identity.  ``rewrite`` rebuilds a formula by a rule per
-node, once per distinct subformula; the translations are rewrites.
+from the values of its parts; guard lengths, guard tests, the printer,
+which reads one table of operator syntax, and ``rewrite``, which
+rebuilds a formula by a rule per node, are folds.  The translations are
+rewrites.
 """
 from __future__ import annotations
 
 import enum
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter, is_not
@@ -54,13 +59,16 @@ class LogicViolationError(ValueError):
 
 
 class HashOnce:
-    """Frozen-dataclass base whose instances compute their hash once.
+    """Frozen-dataclass base whose nodes are interned at construction.
 
-    The value is the hash of the field tuple, as the generated
-    ``__hash__`` would return, but it is stored at construction, so a
-    dict lookup no longer walks the whole subtree.  It depends on the
-    interpreter's string-hash seed, so a pickled node is rebuilt from its
-    fields and hashed afresh where it is loaded.
+    Building a node looks its class and fields up in one table of live
+    nodes and returns the node found there, so equal nodes are one object
+    and equality is identity.  The hash is the hash of the field tuple,
+    as the generated ``__hash__`` would return, stored when the node is
+    first built.  It depends on the interpreter's string-hash seed, so a
+    pickled node is rebuilt from its fields where it is loaded, and comes
+    back as the live node there.  The table holds its nodes weakly, so a
+    node that is no longer used elsewhere leaves it.
     """
 
     __slots__ = ()
@@ -69,35 +77,26 @@ class HashOnce:
         super().__init_subclass__(**kwargs)
         # Defined in the class itself, so the dataclass decorator keeps them.
         cls.__hash__ = HashOnce.__hash__
-        cls.__eq__ = HashOnce.__eq__
+        cls.__eq__ = object.__eq__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            object.__setattr__(node, "_hash", hash(fields))
+        return node
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other) -> bool:
-        """Field-by-field equality, walked with an explicit stack."""
-        if type(other) is not type(self):
-            return NotImplemented
-        work = [(self, other)]
-        while work:
-            a, b = work.pop()
-            if type(a) is not type(b) or a._hash != b._hash:
-                return False
-            for x, y in zip(a.__dict__.values(), b.__dict__.values()):
-                if x is y:
-                    continue
-                if isinstance(x, HashOnce):
-                    work.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
     def __reduce__(self):
         fields = tuple(v for k, v in self.__dict__.items() if k != "_hash")
         return type(self), fields
+
+
+# The live nodes, keyed by class and fields.
+_NODES = weakref.WeakValueDictionary()
 
 
 class Formula(HashOnce):
@@ -282,11 +281,10 @@ def walk(root: Formula | Guard, parts: Callable = _parts):
     """Each node below root once, in preorder.
 
     A node comes first, then the nodes that ``parts`` gives for it (by
-    default its parts, as ``rewrite`` sees them), left to right.  Nodes
-    are told apart by identity: a shared subtree is visited once, and
-    equal subtrees that are distinct objects are each visited.  The walk
-    keeps its own stack, so deep nesting does not reach the recursion
-    limit.
+    default its parts, as ``rewrite`` sees them), left to right.  A
+    shared subtree, and so every repeated subformula, is visited once.
+    The walk keeps its own stack, so deep nesting does not reach the
+    recursion limit.
     """
     seen: set[int] = set()
     stack = [root]
@@ -302,8 +300,9 @@ def walk(root: Formula | Guard, parts: Callable = _parts):
 def _fold(root: Formula | Guard, combine: Callable, parts: Callable):
     """The value ``combine(node, values of its parts)`` at root.
 
-    Values are computed bottom-up with an explicit stack and kept by
-    node identity, so a shared subtree is combined once per call.
+    Values are computed bottom-up with an explicit stack, the parts of
+    a node left to right, and kept by node, so a shared subtree is
+    combined once per call.
     """
     done: dict[int, object] = {}
     stack: list = [root]
@@ -318,7 +317,7 @@ def _fold(root: Formula | Guard, combine: Callable, parts: Callable):
         below = parts(node)
         if below:
             stack.append((node, below))
-            stack.extend(below)
+            stack.extend(reversed(below))
         else:
             done[id(node)] = combine(node, below)
     return done[id(root)]
@@ -327,35 +326,21 @@ def _fold(root: Formula | Guard, combine: Callable, parts: Callable):
 def rewrite(phi: Formula, rule: Callable[[Formula], Formula]) -> Formula:
     """Rebuild phi bottom-up, replacing every formula node by its rule.
 
-    Each node is first rebuilt from its rewritten fields (a node whose
-    fields all come back unchanged is kept as it is), and a formula node
+    Each node is first rebuilt from its rewritten parts (a node whose
+    parts all come back unchanged is kept as it is), and a formula node
     is then replaced by ``rule(rebuilt)``.  Test formulas inside guards
-    are rewritten too; the propositional atoms of guards are not.  Equal
-    subformulas are rewritten once per call.  The walk keeps its own
-    stack, so deep nesting does not reach the recursion limit.
+    are rewritten too; the propositional atoms of guards are not.  The
+    rule sees each subformula once per call, the left parts of a node
+    before its right ones.
     """
-    done: dict = {}  # node -> its rewrite, or None for the node itself
-    stack: list = [(phi, None)]
-    while stack:
-        node, parts = stack.pop()
-        if parts is None:
-            if node in done:
-                continue
-            parts = _PARTS[type(node)](node)
-            if parts:
-                # Back to the node once its parts are done.
-                stack.append((node, parts))
-                stack.extend((part, None) for part in reversed(parts))
-                continue
-        out = node
-        if parts:
-            new = [done[part] or part for part in parts]
-            if any(map(is_not, new, parts)):
-                out = type(node)(*new)
-        if isinstance(out, Formula):
-            out = rule(out)
-        done[node] = None if out is node else out
-    return done[phi] or phi
+
+    def combine(node, below):
+        # An unchanged node would come back from the table; not asking is faster.
+        if any(map(is_not, below, _parts(node))):
+            node = type(node)(*below)
+        return rule(node) if isinstance(node, Formula) else node
+
+    return _fold(phi, combine, _parts)
 
 
 def guard_tests(guard: Guard) -> tuple[Formula, ...]:
@@ -441,13 +426,9 @@ def check_logic(phi: Formula, logic: LogicId) -> list[str]:
     """
     allowed = _SURFACE[logic]
     violations: list[str] = []
-    seen: set[Formula] = set()
 
     def parts(node) -> tuple:
         if isinstance(node, Formula):
-            if node in seen:
-                return ()
-            seen.add(node)
             if not isinstance(node, allowed):
                 violations.append(
                     f"operator {type(node).__name__} not admissible in {logic.value}:"

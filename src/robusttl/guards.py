@@ -102,37 +102,49 @@ class _Builder:
         self.letters.append([])
         return len(self.eps) - 1
 
-    def build(self, guard: Guard) -> tuple[int, int]:
-        if isinstance(guard, Prop):
+    def build(self, root: Guard) -> tuple[int, int]:
+        """The initial and final state of root's fragment.
+
+        Fragments are built bottom-up with an explicit stack, so deep
+        guards do not reach the recursion limit.  A node numbers its own
+        states after those of its left part and then its right part.
+        Every occurrence of a shared node gets states of its own.
+        """
+        frags: list[tuple[int, int]] = []  # the fragments of finished parts
+        stack: list[tuple[Guard, bool]] = [(root, False)]
+        while stack:
+            guard, ready = stack.pop()
+            kind = type(guard)
+            if not ready and kind in (Alt, Concat, Star):
+                stack.append((guard, True))
+                parts = (guard.arg,) if kind is Star else (guard.right, guard.left)
+                stack.extend((part, False) for part in parts)
+                continue
+            if kind is Concat:
+                (i0, f0), (i1, f1) = frags.pop(-2), frags.pop()
+                self.eps[f0].append(i1)
+                frags.append((i0, f1))
+                continue
             s, t = self.new_state(), self.new_state()
-            self.letters[s].append((guard.formula, t))
-            return s, t
-        if isinstance(guard, Test):
-            s, t = self.new_state(), self.new_state()
-            self.tests[s] = guard.formula
-            self.eps[s].append(t)
-            return s, t
-        if isinstance(guard, Alt):
-            i0, f0 = self.build(guard.left)
-            i1, f1 = self.build(guard.right)
-            s, t = self.new_state(), self.new_state()
-            self.eps[s].extend((i0, i1))
-            self.eps[f0].append(t)
-            self.eps[f1].append(t)
-            return s, t
-        if isinstance(guard, Concat):
-            i0, f0 = self.build(guard.left)
-            i1, f1 = self.build(guard.right)
-            self.eps[f0].append(i1)
-            return i0, f1
-        if isinstance(guard, Star):
-            i0, f0 = self.build(guard.arg)
-            s, t = self.new_state(), self.new_state()
-            self.eps[s].extend((i0, t))
-            self.eps[f0].extend((i0, t))
-            return s, t
-        msg = f"unknown guard node {guard!r}"
-        raise TypeError(msg)
+            if kind is Prop:
+                self.letters[s].append((guard.formula, t))
+            elif kind is Test:
+                self.tests[s] = guard.formula
+                self.eps[s].append(t)
+            elif kind is Alt:
+                (i0, f0), (i1, f1) = frags.pop(-2), frags.pop()
+                self.eps[s].extend((i0, i1))
+                self.eps[f0].append(t)
+                self.eps[f1].append(t)
+            elif kind is Star:
+                i0, f0 = frags.pop()
+                self.eps[s].extend((i0, t))
+                self.eps[f0].extend((i0, t))
+            else:
+                msg = f"unknown guard node {guard!r}"
+                raise TypeError(msg)
+            frags.append((s, t))
+        return frags.pop()
 
 
 def thompson(guard: Guard) -> GuardNFA:

@@ -1,6 +1,6 @@
 import pytest
 
-from robusttl.formulas import Ff, Prop, Star, guard_length
+from robusttl.formulas import Atom, Concat, Ff, Prop, Star, guard_length
 from robusttl.gen import make_rng, random_guard, random_lasso
 from robusttl.guards import (
     GuardDFA,
@@ -59,6 +59,17 @@ def test_thompson_linear_size(text):
     guard = parse_guard(text)
     nfa = thompson(guard)
     assert nfa.n_states <= 2 * guard_length(guard) + 2
+
+
+def test_thompson_gives_each_occurrence_states_without_recursion():
+    # p ; p has one shared guard atom, which still takes two states twice.
+    guard = parse_guard("p ; p")
+    assert guard.left is guard.right and thompson(guard).n_states == 4
+    deep = Prop(Atom("p"))
+    for _ in range(3000):
+        deep = Concat(Prop(Atom("p")), deep)
+    nfa = thompson(deep)
+    assert nfa.n_states == 6002 and nfa.initial == 0 and nfa.finals == {6001}
 
 
 def test_determinize_rejects_tests():

@@ -1,4 +1,7 @@
+import copy
+import gc
 import os
+import pickle
 import subprocess
 import sys
 
@@ -14,6 +17,7 @@ from robusttl.formulas import (
     Diamond,
     Eventually,
     Ff,
+    Implies,
     LogicId,
     LogicViolationError,
     NegAtom,
@@ -241,7 +245,7 @@ def test_deep_formulas_compare_without_recursion():
 
     a = nest(5000, Atom("p"))
     b = nest(5000, Atom("p"))
-    assert a is not b and a == b and not a != b
+    assert a is b and a == b and not a != b
     assert a != nest(5000, Atom("q"))
     assert a != nest(4999, Atom("p"))
     assert a != nest(5000, NegAtom("p"))
@@ -251,6 +255,56 @@ def test_deep_formulas_compare_without_recursion():
     assert Atom("p") != "p" and Atom("p").__eq__("p") is NotImplemented
     out = ltl_surface_to_ldl(And(a, b))
     assert isinstance(out, And) and out.left == out.right
+
+
+def test_equal_nodes_are_one_object():
+    guard = Concat(GuardTest(Atom("q")), Prop(Tt()))
+    phi = Box(Star(Prop(Tt())), Implies(Atom("p"), Diamond(guard, Atom("r"))))
+    assert parse("[tt*] (p -> <{q}? ; tt> r)") is phi
+    assert pickle.loads(pickle.dumps(phi)) is phi
+    assert copy.deepcopy(phi) is phi and copy.copy(phi) is phi
+    assert parse("p & p").left is parse("p & p").right
+    assert Star(Prop(Tt())) is Star(Prop(Tt())) and Tt() is Tt()
+
+
+def test_node_hash_is_the_hash_of_its_fields():
+    p = Atom("p")
+    assert hash(p) == hash(("p",)) and hash(Tt()) == hash(())
+    for node in (Eventually(p), Always(p), And(p, Atom("q")), Star(Prop(p))):
+        fields = tuple(vars(node)[k] for k in node.__dataclass_fields__)
+        assert hash(node) == hash(fields)
+    # Nodes of different classes with equal fields are different nodes,
+    # although their hashes are equal.
+    assert Eventually(p) is not Always(p) and hash(Eventually(p)) == hash(Always(p))
+    assert Prop(p) is not GuardTest(p)
+
+
+def test_intern_table_releases_dropped_nodes():
+    from robusttl.formulas import _NODES
+
+    gc.collect()
+    before = len(_NODES)
+    rng = make_rng(17)
+    kept = [
+        parse(format_formula(random_formula(rng, LogicId.RLDL, 8, ("p", "q", "x"))))
+        for _ in range(5000)
+    ]
+    assert len(_NODES) > before + 5000
+    del kept
+    gc.collect()
+    assert len(_NODES) == before
+
+
+def test_rewrite_calls_its_rule_left_to_right():
+    from robusttl.formulas import rewrite
+    from robusttl.translate import ltl_surface_to_ldl
+
+    phi = And(PromptEventually(Atom("p")), PromptDiamond(Star(Prop(Tt())), Atom("q")))
+    with pytest.raises(ValueError, match="^unsupported node PromptEventually$"):
+        ltl_surface_to_ldl(phi)
+    seen = []
+    rewrite(parse("(p | q) & q U X p"), lambda node: seen.append(str(node)) or node)
+    assert seen == ["p", "q", "p | q", "X p", "q U X p", "(p | q) & q U X p"]
 
 
 def _deep_cases():
