@@ -1,7 +1,8 @@
 """Alternating parity automata over alphabets 2^P.
 
 Transitions map (state, letter) to positive Boolean formulas over
-states, each held as the antichain of its minimal models (De Wulf,
+states; a letter is the bitmask of its propositions (see ``guards``).
+Each formula is held as the antichain of its minimal models (De Wulf,
 Doyen, Henzinger and Raskin, "Antichains", CAV 2006): a sorted tuple of
 int bitmasks over states, none a subset of another, so that () is
 false and (0,) is true.  Conjunction, disjunction and dual work on that
@@ -45,7 +46,7 @@ from .formulas import (
     require_logic,
 )
 from .graphs import sccs
-from .guards import all_letters, prop_holds, simple_eps_closure, thompson
+from .guards import all_letters, letter_of, prop_holds, simple_eps_closure, thompson
 from .traces import LassoTrace
 from .truth import ALL_VALUES, BOTTOM, TOP, V0001, V0011, V0111, TruthValue4
 
@@ -160,18 +161,8 @@ class APA:
     props: tuple[str, ...]
     n_states: int
     initial: int
-    delta: dict  # (state, letter frozenset) -> minimal models
+    delta: dict  # (state, letter number) -> minimal models
     color: tuple[int, ...]
-
-    @property
-    def alphabet(self) -> tuple[frozenset[str], ...]:
-        return all_letters(self.props)
-
-    def state_count(self) -> int:
-        return self.n_states
-
-    def max_color(self) -> int:
-        return max(self.color) if self.color else 0
 
 
 def apa_complement(a: APA) -> APA:
@@ -213,6 +204,7 @@ def apa_accepts_lasso(a: APA, trace: LassoTrace) -> bool:
     if not trace.propositions <= set(a.props):
         msg = "trace uses propositions outside the automaton alphabet"
         raise AlphabetMismatchError(msg)
+    word = [letter_of(a.props, trace.letter_at(i)) for i in range(trace.positions)]
     # Vertex 0 accepts and vertex 1 rejects: self-loops of color 0 and 1.
     # Player 0 picks a model of a state's transition, player 1 a state of
     # the model.
@@ -224,7 +216,7 @@ def apa_accepts_lasso(a: APA, trace: LassoTrace) -> bool:
     for node in itertools.islice(nodes, 2, None):  # grows while it is walked
         kind, x, cls = node
         if kind == "s":
-            models = a.delta[(x, trace.letter_at(cls))]
+            models = a.delta[(x, word[cls])]
             nxt = trace.canonical_index(cls + 1)
             succs = [("m", m, nxt) for m in models] if models else [nodes[1]]
             owner.append(0)
@@ -525,7 +517,7 @@ def from_rldl(
     number = {order[0]: 0}
     delta = {}
     for q, i in enumerate(order):  # grows while it is walked
-        for li, letter in enumerate(builder.letters):
+        for li in range(len(builder.letters)):
             models = builder.delta(i, li)
             union = 0
             for m in models:
@@ -534,7 +526,7 @@ def from_rldl(
                 if t not in number:
                     number[t] = len(order)
                     order.append(t)
-            delta[(q, letter)] = tuple(
+            delta[(q, li)] = tuple(
                 sorted(sum(1 << number[t] for t in bits(m)) for m in models)
             )
     color = tuple(builder.color(i) for i in order)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .formulas import Formula, LogicId, propositions, require_logic
 from .graphs import least_priorities, read_graph_text
+from .guards import letter_of
 from .traces import LassoTrace
 from .truth import TruthValue4
 
@@ -214,8 +215,7 @@ def reduce_game(graph: LabeledGameGraph, dpa, start: int) -> tuple[ParityGame, l
     node is won by the same player as in the product of every vertex.
     """
     graph.validate()
-    keep = frozenset(dpa.props)
-    letter = {v: graph.labels[v] & keep for v in graph.vertices}
+    letter = {v: letter_of(dpa.props, graph.labels[v]) for v in graph.vertices}
     back = [(graph.vertices[start], dpa.initial)]
     index = {back[0]: 0}
     rows: dict = {}  # (v, next state) -> successors, shared between nodes
@@ -223,7 +223,7 @@ def reduce_game(graph: LabeledGameGraph, dpa, start: int) -> tuple[ParityGame, l
     edges = []
     color = []
     for v, q in back:  # grows while it is walked
-        q2 = dpa.step(q, letter[v])
+        q2 = dpa.delta[q][letter[v]]
         out = rows.get((v, q2))
         if out is None:
             out = []
@@ -364,11 +364,11 @@ def _color_game(graph: LabeledGameGraph, dpa, color_prop: str, start: int):
     ('pick', v, initial) for v the arena vertex at position start, and
     its back list.
     """
-    keep = frozenset(dpa.props) - {color_prop}
+    mask = 1 << dpa.props.index(color_prop)
     letters = {}
     for v in graph.vertices:
-        label = graph.labels[v] & keep
-        letters[v] = (label, label | {color_prop})
+        a = letter_of(dpa.props, graph.labels[v]) & ~mask
+        letters[v] = (a, a | mask)
     back = [("pick", graph.vertices[start], dpa.initial)]
     index = {back[0]: 0}
     owner = []
@@ -376,7 +376,7 @@ def _color_game(graph: LabeledGameGraph, dpa, color_prop: str, start: int):
     color = []
     for kind, v, q in back:  # grows while it is walked
         if kind == "pick":
-            succs = [("move", v, dpa.step(q, letter)) for letter in letters[v]]
+            succs = [("move", v, dpa.delta[q][a]) for a in letters[v]]
             owner.append(0)
             color.append(dpa.color[q])
         else:

@@ -5,12 +5,17 @@ number of states; tests sit on states and constrain runs passing through
 them.  Test-free guards additionally support epsilon elimination, subset
 determinization, regex extraction by state elimination, and the
 limit-matching check.
+
+Every automaton of the package reads letters as ints: over the sorted
+propositions P, letter a holds the i-th proposition iff bit i of a is
+set, so a is also the position of its set in ``all_letters(P)``.
+``letter_of`` numbers a set of propositions, and is the one place where
+labels are projected onto an automaton's propositions.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .formulas import (
@@ -61,11 +66,21 @@ def prop_holds(letter: frozenset[str], phi: Formula) -> bool:
 
 
 def all_letters(props) -> tuple[frozenset[str], ...]:
-    """The full alphabet 2^P in a deterministic order.
+    """The full alphabet 2^P, letter a at position a.
 
     Every automaton layer asks for the alphabet of its propositions, so
     the last few alphabets are kept."""
     return _alphabet(tuple(sorted(props)))
+
+
+def letter_of(props: tuple[str, ...], labels) -> int:
+    """The number of the letter of labels over the sorted props; labels
+    outside props are dropped."""
+    letter = 0
+    for i, p in enumerate(props):
+        if p in labels:
+            letter |= 1 << i
+    return letter
 
 
 @functools.lru_cache(maxsize=16)
@@ -220,16 +235,14 @@ def eps_eliminate_test_free(nfa: GuardNFA) -> GuardNFA:
 
 @dataclass(frozen=True)
 class GuardDFA:
-    """Complete deterministic automaton over the alphabet 2^props."""
+    """Complete deterministic automaton over the alphabet 2^props; the
+    successor of q on letter a is transitions[q][a]."""
 
     n_states: int
     initial: int
     finals: frozenset[int]
     props: tuple[str, ...]
-    transitions: dict[tuple[int, frozenset[str]], int]
-
-    def step(self, state: int, letter: frozenset[str]) -> int:
-        return self.transitions[(state, letter)]
+    transitions: tuple[tuple[int, ...], ...]
 
 
 def dfa_product(d1: GuardDFA, d2: GuardDFA) -> GuardDFA:
@@ -237,22 +250,18 @@ def dfa_product(d1: GuardDFA, d2: GuardDFA) -> GuardDFA:
     if d1.props != d2.props:
         msg = f"propositions differ: {d1.props} vs {d2.props}"
         raise ValueError(msg)
-    alphabet = all_letters(d1.props)
     start = (d1.initial, d2.initial)
     index = {start: 0}
     order = [start]
-    transitions: dict[tuple[int, frozenset[str]], int] = {}
-    queue = deque((start,))
-    while queue:
-        pair = queue.popleft()
-        q1, q2 = pair
-        for letter in alphabet:
-            target = (d1.step(q1, letter), d2.step(q2, letter))
+    rows = []
+    for q1, q2 in order:  # grows while it is walked
+        row = []
+        for target in zip(d1.transitions[q1], d2.transitions[q2]):
             if target not in index:
                 index[target] = len(order)
                 order.append(target)
-                queue.append(target)
-            transitions[(index[pair], letter)] = index[target]
+            row.append(index[target])
+        rows.append(tuple(row))
     finals = frozenset(
         index[(q1, q2)]
         for q1, q2 in order
@@ -263,7 +272,7 @@ def dfa_product(d1: GuardDFA, d2: GuardDFA) -> GuardDFA:
         initial=0,
         finals=finals,
         props=d1.props,
-        transitions=transitions,
+        transitions=tuple(rows),
     )
 
 
@@ -277,10 +286,9 @@ def determinize(nfa: GuardNFA, props) -> GuardDFA:
     initial = frozenset({flat.initial})
     index: dict[frozenset[int], int] = {initial: 0}
     order = [initial]
-    transitions: dict[tuple[int, frozenset[str]], int] = {}
-    queue = deque((initial,))
-    while queue:
-        subset = queue.popleft()
+    rows = []
+    for subset in order:  # grows while it is walked
+        row = []
         for letter in alphabet:
             target = frozenset(
                 t
@@ -291,8 +299,8 @@ def determinize(nfa: GuardNFA, props) -> GuardDFA:
             if target not in index:
                 index[target] = len(order)
                 order.append(target)
-                queue.append(target)
-            transitions[(index[subset], letter)] = index[target]
+            row.append(index[target])
+        rows.append(tuple(row))
     finals = frozenset(
         index[s] for s in order if any(q in flat.finals for q in s)
     )
@@ -301,15 +309,15 @@ def determinize(nfa: GuardNFA, props) -> GuardDFA:
         initial=0,
         finals=finals,
         props=tuple(sorted(props)),
-        transitions=transitions,
+        transitions=tuple(rows),
     )
 
 
-def _letter_formula(letter: frozenset[str], props) -> Formula:
+def _letter_formula(letter: int, props) -> Formula:
     """The conjunction of literals pinning one letter exactly."""
     terms: list[Formula] = []
-    for p in sorted(props):
-        terms.append(Atom(p) if p in letter else NegAtom(p))
+    for i, p in enumerate(props):
+        terms.append(Atom(p) if letter >> i & 1 else NegAtom(p))
     if not terms:
         return Tt()
     out = terms[0]
@@ -350,7 +358,6 @@ def extract_regex(dfa: GuardDFA, source: int, targets) -> Guard:
     """Language of paths from source to any target, by state elimination."""
     targets = frozenset(targets)
     alphabet = all_letters(dfa.props)
-    full = frozenset(alphabet)
     start, end = dfa.n_states, dfa.n_states + 1
     edges: dict[tuple[int, int], Guard | None] = {}
 
@@ -359,17 +366,18 @@ def extract_regex(dfa: GuardDFA, source: int, targets) -> Guard:
             return
         edges[(i, j)] = _galt(edges.get((i, j)), guard)
 
-    by_pair: dict[tuple[int, int], set[frozenset[str]]] = {}
-    for (q, letter), q2 in dfa.transitions.items():
-        by_pair.setdefault((q, q2), set()).add(letter)
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for q, row in enumerate(dfa.transitions):
+        for letter, q2 in enumerate(row):
+            by_pair.setdefault((q, q2), []).append(letter)
     for (q, q2), letters in sorted(
         by_pair.items(), key=lambda item: item[0]
     ):
-        if letters == full:
+        if len(letters) == len(alphabet):
             add(q, q2, Prop(Tt()))
             continue
         formula: Formula | None = None
-        for letter in sorted(letters, key=lambda s: tuple(sorted(s))):
+        for letter in sorted(letters, key=lambda a: sorted(alphabet[a])):
             term = _letter_formula(letter, dfa.props)
             formula = term if formula is None else Or(formula, term)
         add(q, q2, Prop(formula))
@@ -414,10 +422,9 @@ def is_limit_matching(guard: Guard, props=None) -> bool:
     if props is None:
         props = sorted(propositions(guard))
     dfa = determinize(thompson(guard), props)
-    alphabet = all_letters(dfa.props)
     succ = {
-        q: {dfa.step(q, letter) for letter in alphabet} - dfa.finals
-        for q in range(dfa.n_states)
+        q: set(row) - dfa.finals
+        for q, row in enumerate(dfa.transitions)
         if q not in dfa.finals
     }
     return all(

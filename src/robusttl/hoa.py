@@ -2,22 +2,26 @@
 
 Header lines are emitted in a fixed order so output is bit-stable:
 HOA:, States:, Start:, AP:, acc-name:, Acceptance:, properties:.
-Every edge is labeled with the full conjunction describing one letter,
-so the body is explicit and independent of AP ordering quirks.
+AP i is the i-th sorted proposition, which is bit i of a letter number
+(see ``guards``).  Every edge is labeled with the full conjunction
+describing one letter, so the body is explicit; a state's edges follow
+its letters ordered by their sorted member names.
 """
 
 from __future__ import annotations
 
+from .guards import all_letters
 from .omega import DPA, NBA
 
 
-def _letter_label(letter: frozenset, props: tuple) -> str:
-    parts = []
-    for i, p in enumerate(props):
-        parts.append(str(i) if p in letter else f"!{i}")
-    if not parts:
-        return "t"
-    return " & ".join(parts)
+def _labels(props: tuple) -> list:
+    """(letter number, edge label) of every letter, in edge order."""
+    letters = all_letters(props)
+    out = []
+    for a in sorted(range(len(letters)), key=lambda a: sorted(letters[a])):
+        parts = [str(i) if a >> i & 1 else f"!{i}" for i in range(len(props))]
+        out.append((a, " & ".join(parts) if parts else "t"))
+    return out
 
 
 def _parity_acceptance(n_colors: int) -> str:
@@ -49,15 +53,13 @@ def nba_to_hoa(nba: NBA, name: str | None = None) -> str:
     lines.append("Acceptance: 1 Inf(0)")
     lines.append("properties: trans-labels explicit-labels state-acc")
     lines.append("--BODY--")
-    letters = sorted(
-        {letter for (_, letter) in nba.transitions}, key=lambda s: sorted(s)
-    )
+    labels = _labels(nba.props)
     for q in range(nba.n_states):
         mark = " {0}" if q in nba.accepting else ""
         lines.append(f"State: {q}{mark}")
-        for letter in letters:
-            for q2 in nba.transitions.get((q, letter), ()):
-                lines.append(f"[{_letter_label(letter, nba.props)}] {q2}")
+        for a, label in labels:
+            for q2 in nba.transitions.get((q, a), ()):
+                lines.append(f"[{label}] {q2}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"
 
@@ -77,15 +79,10 @@ def dpa_to_hoa(dpa: DPA, name: str | None = None) -> str:
         "properties: trans-labels explicit-labels state-acc deterministic"
     )
     lines.append("--BODY--")
-    letters = sorted(
-        {letter for (_, letter) in dpa.delta}, key=lambda s: sorted(s)
-    )
-    labels = [(letter, _letter_label(letter, dpa.props)) for letter in letters]
-    for q in range(dpa.n_states):
+    labels = _labels(dpa.props)
+    for q, row in enumerate(dpa.delta):
         lines.append(f"State: {q} {{{dpa.color[q]}}}")
-        for letter, label in labels:
-            q2 = dpa.delta.get((q, letter))
-            if q2 is not None:
-                lines.append(f"[{label}] {q2}")
+        for a, label in labels:
+            lines.append(f"[{label}] {row[a]}")
     lines.append("--END--")
     return "\n".join(lines) + "\n"

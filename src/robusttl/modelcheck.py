@@ -33,7 +33,7 @@ from .formulas import (
     rewrite,
 )
 from .graphs import read_graph_text
-from .guards import determinize, dfa_product, extract_regex, thompson
+from .guards import determinize, dfa_product, extract_regex, letter_of, thompson
 from .semantics import eval_rldl
 from .traces import LassoTrace
 from .truth import BOTTOM, TOP, TruthValue4
@@ -112,7 +112,6 @@ def format_transition_system(ts: TransitionSystem) -> str:
 
 def ts_to_nba(ts: TransitionSystem, props=None):
     """Buechi automaton over the system's traces; all states accepting."""
-    from .guards import all_letters
     from .omega import NBA
 
     ts.validate()
@@ -128,10 +127,9 @@ def ts_to_nba(ts: TransitionSystem, props=None):
     transitions: dict = {}
     for s in ts.states:
         succs = tuple(index[t] for t in ts.edges[s])
-        for letter in all_letters(prop_tuple):
-            transitions[(index[s], letter)] = (
-                succs if letter == ts.labels[s] else ()
-            )
+        label = letter_of(prop_tuple, ts.labels[s])
+        for letter in range(1 << len(prop_tuple)):
+            transitions[(index[s], letter)] = succs if letter == label else ()
     return NBA(
         prop_tuple,
         len(ts.states),
@@ -205,14 +203,13 @@ def mc_rldl(ts: TransitionSystem, phi: Formula, beta: TruthValue4) -> McResult:
     if beta == BOTTOM:
         return McResult(True)
     props = tuple(sorted(propositions(phi)))
-    keep = frozenset(props)
     bad = apa_to_nba(apa_complement(from_rldl(phi, beta, props)))
+    letter = {s: letter_of(props, ts.labels[s]) for s in ts.states}
 
     def successors(node):
         s, q = node
-        label = ts.labels[s]
-        targets = bad.transitions[(q, label & keep)]
-        return [(label, (t, q2)) for t in ts.edges[s] for q2 in targets]
+        targets = bad.transitions[(q, letter[s])]
+        return [(ts.labels[s], (t, q2)) for t in ts.edges[s] for q2 in targets]
 
     witness = lasso_search(
         (ts.initial, bad.initial),
@@ -221,7 +218,7 @@ def mc_rldl(ts: TransitionSystem, phi: Formula, beta: TruthValue4) -> McResult:
     )
     if witness is None:
         return McResult(True)
-    if not nba_accepts_lasso(bad, witness.project(keep)):
+    if not nba_accepts_lasso(bad, witness.project(props)):
         msg = "internal error: emptiness witness rejected"
         raise AssertionError(msg)
     witness = shrink_lasso(witness)

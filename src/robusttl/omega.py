@@ -1,5 +1,11 @@
 """Nondeterministic Buechi and deterministic parity automata.
 
+Letters are the numbers of ``guards``: an NBA maps (state, letter) to a
+tuple of successors, and a complete DPA holds one successor row per
+state, so that delta[q][a] is the successor of q on letter a.  Lasso
+membership numbers the trace's letters once, after checking that they
+use only the automaton's propositions.
+
 Dealternation uses the breakpoint construction (Miyano and Hayashi),
 which is sound for weak alternating automata (each strongly connected
 component of the input has one color, so every run path stabilizes in a
@@ -26,10 +32,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .apa import APA, AlphabetMismatchError, extend, is_weak
+from .apa import APA, AlphabetMismatchError, bits, extend, is_weak
 from .formulas import Formula, LogicId, require_logic
 from .graphs import least_priorities, sccs
-from .guards import all_letters
+from .guards import all_letters, letter_of
 from .traces import LassoTrace
 from .truth import TOP, TruthValue4
 
@@ -45,40 +51,24 @@ class NBA:
     props: tuple[str, ...]
     n_states: int
     initial: int
-    transitions: dict  # (state, letter) -> tuple of successor states
+    transitions: dict  # (state, letter number) -> tuple of successor states
     accepting: frozenset[int]
-
-    @property
-    def alphabet(self) -> tuple[frozenset[str], ...]:
-        return all_letters(self.props)
-
-    def state_count(self) -> int:
-        return self.n_states
 
 
 @dataclass(frozen=True)
 class DPA:
-    """Deterministic max-parity automaton; highest color seen infinitely
-    often along the run must be even."""
+    """Deterministic complete max-parity automaton; highest color seen
+    infinitely often along the run must be even.  The successor of q on
+    letter a is delta[q][a]."""
 
     props: tuple[str, ...]
     n_states: int
     initial: int
-    delta: dict  # (state, letter) -> state
+    delta: tuple[tuple[int, ...], ...]
     color: tuple[int, ...]
-
-    @property
-    def alphabet(self) -> tuple[frozenset[str], ...]:
-        return all_letters(self.props)
 
     def states(self) -> range:
         return range(self.n_states)
-
-    def step(self, q: int, letter) -> int:
-        return self.delta[(q, frozenset(letter))]
-
-    def state_count(self) -> int:
-        return self.n_states
 
 
 def apa_to_nba(a: APA) -> NBA:
@@ -103,7 +93,7 @@ def apa_to_nba(a: APA) -> NBA:
     if not is_weak(a):
         msg = "dealternation requires a weak alternating automaton"
         raise NotWeakError(msg)
-    letters = all_letters(a.props)
+    n_letters = 1 << len(a.props)
     n = a.n_states
     slice_bits = (1 << n) - 1
     bad = sum(1 << q for q in range(n) if a.color[q] % 2 == 1)
@@ -116,7 +106,7 @@ def apa_to_nba(a: APA) -> NBA:
         node = work.pop()
         slice_, owing = node & slice_bits, node >> n
         states = [q for q in range(n) if slice_ >> q & 1]
-        for letter in letters:
+        for letter in range(n_letters):
             partial = [0]
             for q in states:
                 options = a.delta[(q, letter)]
@@ -144,6 +134,7 @@ def nba_accepts_lasso(nba: NBA, trace: LassoTrace) -> bool:
     if not trace.propositions <= set(nba.props):
         msg = "trace uses propositions outside the automaton alphabet"
         raise AlphabetMismatchError(msg)
+    word = [letter_of(nba.props, trace.letter_at(i)) for i in range(trace.positions)]
     start = (nba.initial, 0)
     graph: dict = {}
     seen = {start}
@@ -151,10 +142,9 @@ def nba_accepts_lasso(nba: NBA, trace: LassoTrace) -> bool:
     while work:
         node = work.pop()
         q, cls = node
-        letter = trace.letter_at(cls)
         nxt_cls = trace.canonical_index(cls + 1)
         succs = tuple(
-            (q2, nxt_cls) for q2 in nba.transitions[(q, letter)]
+            (q2, nxt_cls) for q2 in nba.transitions[(q, word[cls])]
         )
         graph[node] = succs
         for s in succs:
@@ -182,8 +172,8 @@ def nba_emptiness(nba: NBA) -> LassoTrace | None:
     def successors(q: int):
         return [
             (letter, q2)
-            for letter in letters
-            for q2 in nba.transitions[(q, letter)]
+            for a, letter in enumerate(letters)
+            for q2 in nba.transitions[(q, a)]
         ]
 
     witness = lasso_search(nba.initial, successors, nba.accepting.__contains__)
@@ -255,7 +245,7 @@ def nba_intersection(b1: NBA, b2: NBA) -> NBA:
     if b1.props != b2.props:
         msg = f"propositions differ: {b1.props} vs {b2.props}"
         raise AlphabetMismatchError(msg)
-    letters = all_letters(b1.props)
+    n_letters = 1 << len(b1.props)
     n2 = b2.n_states
 
     def idx(q1: int, q2: int, track: int) -> int:
@@ -274,7 +264,7 @@ def nba_intersection(b1: NBA, b2: NBA) -> NBA:
                     nxt_track = track
                 if track == 0 and q1 in b1.accepting:
                     accepting.add(idx(q1, q2, track))
-                for letter in letters:
+                for letter in range(n_letters):
                     succs = tuple(
                         idx(s1, s2, nxt_track)
                         for s1 in b1.transitions[(q1, letter)]
@@ -293,14 +283,6 @@ def nba_intersection(b1: NBA, b2: NBA) -> NBA:
 # -- simulation reduction --------------------------------------------------
 
 
-def _bits(mask: int):
-    """The set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def direct_simulation(nba: NBA) -> list[int]:
     """The direct-simulation preorder: bit q of the p-th mask is set iff
     q simulates p.
@@ -314,31 +296,23 @@ def direct_simulation(nba: NBA) -> list[int]:
     set is the union of the a-predecessor masks of s's simulators,
     cached per letter and simulator set, which many states share.
     """
-    letters = all_letters(nba.props)
+    transitions = nba.transitions
+    letters = range(1 << len(nba.props))
     n = nba.n_states
-    everyone = (1 << n) - 1
-    succ = [
-        [nba.transitions.get((q, letter), ()) for letter in letters]
-        for q in range(n)
-    ]
     pred = [[0] * n for _ in letters]
     pred_any = [0] * n
-    for q, rows in enumerate(succ):
-        for a, targets in enumerate(rows):
-            for s in targets:
-                pred[a][s] |= 1 << q
-                pred_any[s] |= 1 << q
-    enabled = [
-        sum(1 << q for q in range(n) if succ[q][a]) for a in range(len(letters))
-    ]
+    enabled = [0] * len(letters)
+    for (q, a), targets in transitions.items():
+        if targets:
+            enabled[a] |= 1 << q
+        for s in targets:
+            pred[a][s] |= 1 << q
+            pred_any[s] |= 1 << q
     accepting = sum(1 << q for q in nba.accepting)
-    sim = []
-    for q in range(n):
-        mask = accepting if q in nba.accepting else everyone
-        for a, targets in enumerate(succ[q]):
-            if targets:
-                mask &= enabled[a]
-        sim.append(mask)
+    sim = [accepting if q in nba.accepting else (1 << n) - 1 for q in range(n)]
+    for (q, a), targets in transitions.items():
+        if targets:
+            sim[q] &= enabled[a]
     # (a, simulators of s) -> states with an a-successor among them
     cover: dict = {}
     queued = bytearray(b"\x01") * n
@@ -349,8 +323,8 @@ def direct_simulation(nba: NBA) -> list[int]:
         p = work.popleft()
         queued[p] = 0
         mask = sim[p]
-        for a, targets in enumerate(succ[p]):
-            for s in targets:
+        for a in letters:
+            for s in transitions.get((p, a), ()):
                 key = (a, sim[s])
                 allowed = cover.get(key)
                 if allowed is None:
@@ -365,7 +339,7 @@ def direct_simulation(nba: NBA) -> list[int]:
                 mask &= allowed
         if mask != sim[p]:
             sim[p] = mask
-            for r in _bits(pred_any[p]):
+            for r in bits(pred_any[p]):
                 if not queued[r]:
                     queued[r] = 1
                     work.append(r)
@@ -383,7 +357,6 @@ def nba_simulation_reduce(nba: NBA) -> NBA:
     breadth-first with letters in alphabet order, and has a (possibly
     empty) successor tuple for every state and letter.
     """
-    letters = all_letters(nba.props)
     sim = direct_simulation(nba)
     n = nba.n_states
     rep = [-1] * n
@@ -391,7 +364,7 @@ def nba_simulation_reduce(nba: NBA) -> NBA:
     for p in range(n):
         if rep[p] < 0:
             members = 0
-            for q in _bits(sim[p]):
+            for q in bits(sim[p]):
                 if sim[q] >> p & 1:
                     members |= 1 << q
                     rep[q] = p
@@ -400,12 +373,12 @@ def nba_simulation_reduce(nba: NBA) -> NBA:
     order = [rep[nba.initial]]
     transitions: dict = {}
     for i, r in enumerate(order):  # grows while it is walked
-        for letter in letters:
+        for letter in range(1 << len(nba.props)):
             tops = 0
             for s in nba.transitions.get((r, letter), ()):
                 tops |= 1 << rep[s]
             kept = []
-            for c in _bits(tops):
+            for c in bits(tops):
                 if sim[c] & tops & ~equal[c]:
                     continue
                 j = index.get(c)
@@ -455,23 +428,22 @@ def _tree_step(tree, label_sets, letter, transitions, acc, n_bound):
             children[fresh] = []
             labels[fresh] = spawn
 
-    def restrict(name, allowed):
-        labels[name] = labels[name] & allowed
+    # A child keeps what its parent holds and its older siblings do not.
+    work = [name for name in names if parent[name] is None]
+    while work:
+        name = work.pop()
         claimed: frozenset = frozenset()
         for child in children[name]:
-            restrict(child, labels[name] - claimed)
+            labels[child] = labels[child] & (labels[name] - claimed)
             claimed = claimed | labels[child]
-
-    roots = [name for name in names if parent[name] is None]
-    for root in roots:
-        restrict(root, labels[root])
+        work.extend(children[name])
     dead = {name for name in names if not labels[name]}
     red = min(dead) if dead else None
 
     def subtree(name):
         out = [name]
-        for child in children[name]:
-            out.extend(subtree(child))
+        for node in out:  # grows while it is walked
+            out.extend(children[node])
         return out
 
     removed = set()
@@ -527,9 +499,8 @@ def nba_to_dpa(nba: NBA) -> DPA:
     states merge.
     """
     nba = nba_simulation_reduce(nba)
-    letters = all_letters(nba.props)
     if all(len(succs) <= 1 for succs in nba.transitions.values()):
-        return _dba_to_dpa(nba, letters)
+        return _dba_to_dpa(nba)
     n_bound = max(nba.n_states, 1)
     init_tree = ((1, None),)
     init_labels = {1: frozenset((nba.initial,))}
@@ -552,7 +523,8 @@ def nba_to_dpa(nba: NBA) -> DPA:
         node = work.pop()
         tree, label_tuple = node
         labels = {name: label_tuple[i] for i, (name, _) in enumerate(tree)}
-        for letter in letters:
+        row = []
+        for letter in range(1 << len(nba.props)):
             if not tree:
                 nxt = (empty_tree, ())
                 priority = neutral
@@ -565,7 +537,8 @@ def nba_to_dpa(nba: NBA) -> DPA:
                 tree_index[nxt] = len(tree_order)
                 tree_order.append(nxt)
                 work.append(nxt)
-            edges[(tree_index[node], letter)] = (tree_index[nxt], priority)
+            row.append((tree_index[nxt], priority))
+        edges[tree_index[node]] = row
     # Convert transition priorities to state colors (max parity).
     k_even = max_priority if max_priority % 2 == 0 else max_priority + 1
     state_index: dict = {(0, neutral): 0}
@@ -573,8 +546,7 @@ def nba_to_dpa(nba: NBA) -> DPA:
     rows: list = []
     for tree_id, _priority in order:  # grows while it is walked
         row = []
-        for letter in letters:
-            key = edges[(tree_id, letter)]
+        for key in edges[tree_id]:
             target = state_index.get(key)
             if target is None:
                 target = state_index[key] = len(order)
@@ -582,28 +554,26 @@ def nba_to_dpa(nba: NBA) -> DPA:
             row.append(target)
         rows.append(tuple(row))
     color = [k_even - priority for _, priority in order]
-    return _minimize(nba.props, letters, rows, color, 0)
+    return _minimize(nba.props, rows, color, 0)
 
 
-def _dba_to_dpa(nba: NBA, letters) -> DPA:
+def _dba_to_dpa(nba: NBA) -> DPA:
     """A deterministic Buechi automaton as a max-parity automaton; a
     letter without a successor leads to a rejecting sink."""
+    letters = range(1 << len(nba.props))
     sink = nba.n_states
     rows = [
-        tuple([
-            succs[0] if succs else sink
-            for succs in [nba.transitions[(q, letter)] for letter in letters]
-        ])
+        tuple([(nba.transitions[(q, a)] or (sink,))[0] for a in letters])
         for q in range(nba.n_states)
     ]
     color = [2 if q in nba.accepting else 1 for q in range(nba.n_states)]
     if any(sink in row for row in rows):
         rows.append((sink,) * len(letters))
         color.append(1)
-    return _minimize(nba.props, letters, rows, color, nba.initial)
+    return _minimize(nba.props, rows, color, nba.initial)
 
 
-def _minimize(props, letters, rows: list, color: list, initial: int) -> DPA:
+def _minimize(props, rows: list, color: list, initial: int) -> DPA:
     """The parity automaton with successor rows and colors, made small.
 
     The Moore quotient comes first.  Then every state gets its least
@@ -626,7 +596,7 @@ def _minimize(props, letters, rows: list, color: list, initial: int) -> DPA:
         rows, color, initial = _quotient(rows, color, initial)
         if len(rows) == n_states:
             break
-    return _from_rows(props, letters, rows, color, initial)
+    return DPA(props, len(rows), initial, tuple(rows), tuple(color))
 
 
 def dpa_with_changes(d: DPA, prop: str) -> DPA:
@@ -638,16 +608,15 @@ def dpa_with_changes(d: DPA, prop: str) -> DPA:
     top + 2 and restarts top, any other letter emits 1.  The top color
     emitted infinitely often is d's plus 2, or 1 if prop settles.
     """
-    letters = all_letters(d.props)
-    bits = [prop in letter for letter in letters]
-    succ = _rows(d, letters)
-    start = (d.initial, False, d.color[d.initial], 1)
+    mask = 1 << d.props.index(prop)
+    start = (d.initial, 0, d.color[d.initial], 1)
     index = {start: 0}
     order = [start]
     rows = []
     for q, bit, top, _ in order:  # grows while it is walked
         row = []
-        for b, t in zip(bits, succ[q]):
+        for a, t in enumerate(d.delta[q]):
+            b = a & mask
             c = d.color[t]
             node = (t, b, max(top, c), 1) if b == bit else (t, b, c, top + 2)
             i = index.get(node)
@@ -656,24 +625,7 @@ def dpa_with_changes(d: DPA, prop: str) -> DPA:
                 order.append(node)
             row.append(i)
         rows.append(tuple(row))
-    return _minimize(d.props, letters, rows, [node[3] for node in order], 0)
-
-
-def _rows(d: DPA, letters) -> list:
-    """Each state's successors, one per letter in the order given."""
-    return [
-        tuple([d.delta[(q, letter)] for letter in letters])
-        for q in range(d.n_states)
-    ]
-
-
-def _from_rows(props, letters, rows: list, color, initial: int) -> DPA:
-    delta = {
-        (q, letter): t
-        for q, row in enumerate(rows)
-        for letter, t in zip(letters, row)
-    }
-    return DPA(props, len(rows), initial, delta, tuple(color))
+    return _minimize(d.props, rows, [node[3] for node in order], 0)
 
 
 def _quotient(rows: list, color, initial: int):
@@ -729,6 +681,7 @@ def dpa_accepts_lasso(d: DPA, trace: LassoTrace) -> bool:
     if not trace.propositions <= set(d.props):
         msg = "trace uses propositions outside the automaton alphabet"
         raise AlphabetMismatchError(msg)
+    word = [letter_of(d.props, trace.letter_at(i)) for i in range(trace.positions)]
     seen: dict = {}
     q = d.initial
     cls = 0
@@ -736,7 +689,7 @@ def dpa_accepts_lasso(d: DPA, trace: LassoTrace) -> bool:
     while (q, cls) not in seen:
         seen[(q, cls)] = len(history)
         history.append((q, cls))
-        q = d.delta[(q, trace.letter_at(cls))]
+        q = d.delta[q][word[cls]]
         cls = trace.canonical_index(cls + 1)
     start = seen[(q, cls)]
     top = max(d.color[state] for state, _ in history[start:])

@@ -33,6 +33,11 @@ built from a whole DPA by the routines of ``omega``: the Moore quotient
 alone, the quotient with least priorities as every compiled DPA gets
 them, and the automaton with every color shifted by one.
 
+reference_tree_step is one compact-tree transition of ``omega`` with
+the recursive label restriction and subtree walk: each child is
+restricted to what its parent holds and its older siblings have not
+claimed, depth first.
+
 changes_infinitely is the LDL formula "the color proposition changes
 infinitely often"; compiled in a conjunction with a relaxed prompt
 objective, it is the reference for ``omega.dpa_with_changes``.
@@ -73,8 +78,8 @@ from robusttl.formulas import (
     propositions,
     require_logic,
 )
-from robusttl.guards import all_letters, prop_holds, simple_eps_closure, thompson
-from robusttl.omega import _from_rows, _minimize, _quotient, _rows
+from robusttl.guards import all_letters, letter_of, prop_holds, simple_eps_closure, thompson
+from robusttl.omega import DPA, _minimize, _quotient
 from robusttl.truth import ALL_VALUES, BOTTOM, TOP, TruthValue4
 
 
@@ -178,7 +183,7 @@ def unpruned_apa_to_nba(a):
     """Breakpoint NBA over all (slice, owing) successors of every letter."""
     from robusttl.omega import NBA
 
-    letters = all_letters(a.props)
+    letters = range(1 << len(a.props))
     bad = frozenset(q for q in range(a.n_states) if a.color[q] % 2 == 1)
     start = (frozenset((a.initial,)), frozenset())
     index = {start: 0}
@@ -287,9 +292,7 @@ def _reference_zielonka(game, region: set):
 
 def reference_direct_simulation(nba) -> set:
     """The pairs (p, q) such that q directly simulates p."""
-    from robusttl.guards import all_letters
-
-    letters = all_letters(nba.props)
+    letters = range(1 << len(nba.props))
     states = range(nba.n_states)
 
     def succ(q, letter):
@@ -437,7 +440,8 @@ class _ReferenceBuilder:
 
     def __init__(self, props: tuple[str, ...]):
         self.props = props
-        self.letters = all_letters(props)
+        self.alphabet = all_letters(props)
+        self.letters = range(len(self.alphabet))
         self.colors: list[int] = []
         self.delta: dict = {}
         self.cache: dict = {}
@@ -448,7 +452,7 @@ class _ReferenceBuilder:
         self.colors.append(color)
         return q
 
-    def set_delta(self, q: int, letter: frozenset, pb: PositiveBool) -> None:
+    def set_delta(self, q: int, letter: int, pb: PositiveBool) -> None:
         self.delta[(q, letter)] = pb
 
     def init_delta(self, phi: Formula, beta: TruthValue4, letter) -> PositiveBool:
@@ -550,7 +554,7 @@ class _ReferenceBuilder:
             return self.cache[key]
         q = self.new_state(0)
         for letter in self.letters:
-            holds = (name in letter) != negated
+            holds = (name in self.alphabet[letter]) != negated
             self.set_delta(q, letter, PB_TRUE if holds else PB_FALSE)
         self.cache[key] = q
         return q
@@ -593,7 +597,7 @@ class _ReferenceBuilder:
             if q2 in nfa.finals:
                 out.append((True, None, tests))
             for formula, q3 in nfa.letters[q2]:
-                if prop_holds(letter, formula):
+                if prop_holds(self.alphabet[letter], formula):
                     out.append((False, q3, tests))
         return out
 
@@ -813,7 +817,7 @@ def reference_from_rldl(
 def _prune(a: APA) -> APA:
     """Restrict to the states reachable from the initial state through
     minimal models, with every transition as its int models."""
-    letters = all_letters(a.props)
+    letters = range(1 << len(a.props))
     models = {}
     reach = {a.initial}
     work = [a.initial]
@@ -842,12 +846,11 @@ def reference_reduce_game(graph, dpa):
     """The product of an arena with a DPA from every (v, initial)."""
     from robusttl.games import ParityGame
 
-    keep = frozenset(dpa.props)
     back = [(v, dpa.initial) for v in graph.vertices]
     index = {node: i for i, node in enumerate(back)}
     owner, edges, color = [], [], []
     for v, q in back:  # grows while it is walked
-        q2 = dpa.step(q, graph.labels[v] & keep)
+        q2 = dpa.delta[q][letter_of(dpa.props, graph.labels[v])]
         out = []
         for v2 in graph.edges[v]:
             node = (v2, q2)
@@ -865,14 +868,14 @@ def reference_color_game(graph, dpa, color_prop):
     """The recoloring game of an arena from every ('pick', v, initial)."""
     from robusttl.games import ParityGame
 
-    keep = frozenset(dpa.props) - {color_prop}
+    mask = 1 << dpa.props.index(color_prop)
     back = [("pick", v, dpa.initial) for v in graph.vertices]
     index = {node: i for i, node in enumerate(back)}
     owner, edges, color = [], [], []
     for kind, v, q in back:  # grows while it is walked
         if kind == "pick":
-            label = graph.labels[v] & keep
-            succs = [("move", v, dpa.step(q, letter)) for letter in (label, label | {color_prop})]
+            a = letter_of(dpa.props, graph.labels[v]) & ~mask
+            succs = [("move", v, dpa.delta[q][b]) for b in (a, a | mask)]
             owner.append(0)
             color.append(dpa.color[q])
         else:
@@ -889,6 +892,78 @@ def reference_color_game(graph, dpa, color_prop):
     return ParityGame.numbered(owner, edges, color), back
 
 
+def reference_tree_step(tree, label_sets, letter, transitions, acc, n_bound):
+    """(tree', labels', priority) of ``omega._tree_step``, by recursion."""
+    names = [name for name, _ in tree]
+    parent = dict(tree)
+    children: dict = {name: [] for name in names}
+    for name, par in tree:
+        if par is not None:
+            children[par].append(name)
+    labels = {
+        name: frozenset(q2 for q in label_sets[name] for q2 in transitions[(q, letter)])
+        for name in names
+    }
+    next_fresh = max(names) + 1 if names else 1
+    for name in list(names):
+        spawn = labels[name] & acc
+        if spawn:
+            names.append(next_fresh)
+            parent[next_fresh] = name
+            children[name].append(next_fresh)
+            children[next_fresh] = []
+            labels[next_fresh] = spawn
+            next_fresh += 1
+
+    def restrict(name, allowed):
+        labels[name] = labels[name] & allowed
+        claimed: frozenset = frozenset()
+        for child in children[name]:
+            restrict(child, labels[name] - claimed)
+            claimed = claimed | labels[child]
+
+    def subtree(name):
+        out = [name]
+        for child in children[name]:
+            out.extend(subtree(child))
+        return out
+
+    for root in [name for name in names if parent[name] is None]:
+        restrict(root, labels[root])
+    dead = {name for name in names if not labels[name]}
+    red = min(dead) if dead else None
+    removed = set()
+    for name in dead:
+        removed.update(subtree(name))
+    green_nodes = [
+        name
+        for name in names
+        if name not in removed
+        and (kids := [c for c in children[name] if c not in removed])
+        and labels[name] == frozenset().union(*(labels[c] for c in kids))
+    ]
+    green = min(green_nodes) if green_nodes else None
+    for name in green_nodes:
+        if name not in removed:
+            for child in children[name]:
+                if child not in removed:
+                    removed.update(subtree(child))
+    final = sorted(name for name in names if name not in removed)
+    rename = {old: i + 1 for i, old in enumerate(final)}
+    new_tree = tuple(
+        (rename[name], rename[parent[name]] if parent[name] is not None else None)
+        for name in final
+    )
+    new_labels = {rename[name]: labels[name] for name in final}
+    if red is not None and (green is None or 2 * red - 1 < 2 * green):
+        priority = 2 * red - 1
+    elif green is not None:
+        priority = 2 * green
+    else:
+        priority = 2 * n_bound + 1
+    return new_tree, new_labels, priority
+
+
 def changes_infinitely(color_prop: str) -> Formula:
     """LDL formula: the color proposition changes infinitely often."""
     c = Atom(color_prop)
@@ -901,19 +976,16 @@ def changes_infinitely(color_prop: str) -> Formula:
 def dpa_quotient(d):
     """Merge states that no run can tell apart by its colors; d itself
     when nothing merges."""
-    letters = all_letters(d.props)
-    rows = _rows(d, letters)
-    merged, color, initial = _quotient(rows, d.color, d.initial)
-    if merged is rows:
+    merged, color, initial = _quotient(d.delta, d.color, d.initial)
+    if merged is d.delta:
         return d
-    return _from_rows(d.props, letters, merged, color, initial)
+    return DPA(d.props, len(merged), initial, tuple(merged), tuple(color))
 
 
 def dpa_minimize(d):
     """The quotient, least priorities and the quotient again while they
     let more states merge, as ``omega._minimize`` makes every DPA."""
-    letters = all_letters(d.props)
-    return _minimize(d.props, letters, _rows(d, letters), d.color, d.initial)
+    return _minimize(d.props, d.delta, d.color, d.initial)
 
 
 def dpa_complement(d):

@@ -297,7 +297,7 @@ formulas += [
 for phi in formulas:
     for beta in ALL_VALUES:
         a = from_rldl(phi, beta)
-        delta = [(q, sorted(letter), pb) for (q, letter), pb in a.delta.items()]
+        delta = [(q, letter, pb) for (q, letter), pb in a.delta.items()]
         print(a.n_states, a.initial, a.color, repr(delta))
 """
 

@@ -46,6 +46,7 @@ from robusttl.gen import (
     random_lasso,
     random_parity_game,
 )
+from robusttl.guards import letter_of
 from robusttl.modelcheck import relax_prompt
 from robusttl.omega import dpa_accepts_lasso, dpa_with_changes, ldl_to_dpa, rldl_to_dpa
 from robusttl.parser import parse
@@ -225,7 +226,7 @@ def test_reduce_game_size_and_colors():
         while work:
             v, q = work.pop()
             for v2 in graph.edges[v]:
-                node = (v2, dpa.step(q, graph.labels[v]))
+                node = (v2, dpa.delta[q][letter_of(dpa.props, graph.labels[v])])
                 if node not in reach:
                     reach.add(node)
                     work.append(node)
@@ -234,7 +235,7 @@ def test_reduce_game_size_and_colors():
             v, q = back[i]
             assert game.color[i] == dpa.color[q]
             assert game.owner[i] == graph.owner[v]
-            q2 = dpa.step(q, graph.labels[v])
+            q2 = dpa.delta[q][letter_of(dpa.props, graph.labels[v])]
             assert [back[j] for j in game.edges[i]] == [(v2, q2) for v2 in graph.edges[v]]
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from robusttl.formulas import Atom, Concat, Ff, Prop, Star, guard_length
@@ -10,6 +12,7 @@ from robusttl.guards import (
     dfa_product,
     extract_regex,
     is_limit_matching,
+    letter_of,
     prop_holds,
     thompson,
 )
@@ -25,7 +28,7 @@ def letters2():
 def dfa_accepts(dfa: GuardDFA, word) -> bool:
     q = dfa.initial
     for letter in word:
-        q = dfa.step(q, letter)
+        q = dfa.transitions[q][letter_of(dfa.props, letter)]
     return q in dfa.finals
 
 
@@ -49,6 +52,21 @@ def test_prop_holds():
 def test_all_letters():
     assert len(letters2()) == 4
     assert frozenset({"p", "q"}) in letters2()
+
+
+def test_letter_of_is_the_position_in_all_letters():
+    # Bit i is the i-th sorted proposition; a label outside the
+    # propositions is dropped.
+    props = ("p", "q", "r")
+    alphabet = all_letters(props)
+    for members in itertools.chain.from_iterable(
+        itertools.combinations(props, k) for k in range(4)
+    ):
+        labels = frozenset(members)
+        assert letter_of(props, labels) == alphabet.index(labels)
+        assert letter_of(props, labels | {"x"}) == alphabet.index(labels)
+        assert alphabet[letter_of(props, labels | {"x"})] == labels
+    assert letter_of(props, {"q", "x"}) == 0b010
 
 
 @pytest.mark.parametrize(

@@ -9,13 +9,16 @@ from _oracles import (
     dpa_minimize,
     dpa_quotient,
     reference_direct_simulation,
+    reference_tree_step,
     unpruned_apa_to_nba,
 )
+
+from robusttl import omega
 
 from robusttl.apa import APA, apa_complement, from_rldl
 from robusttl.formulas import LogicId
 from robusttl.gen import make_rng, random_formula, random_lasso
-from robusttl.guards import all_letters
+from robusttl.guards import all_letters, letter_of
 from robusttl.hoa import dpa_to_hoa, nba_to_hoa
 from robusttl.omega import (
     DPA,
@@ -49,9 +52,9 @@ def simple_nba(accept_on_p: bool) -> NBA:
     # Accepts words with infinitely many p (or q when flipped).
     target = "p" if accept_on_p else "q"
     transitions = {}
-    for a in all_letters(PQ):
-        transitions[(0, a)] = (1,) if target in a else (0,)
-        transitions[(1, a)] = (1,) if target in a else (0,)
+    for a, labels in enumerate(all_letters(PQ)):
+        transitions[(0, a)] = (1,) if target in labels else (0,)
+        transitions[(1, a)] = (1,) if target in labels else (0,)
     return NBA(PQ, 2, 0, transitions, frozenset({1}))
 
 
@@ -69,9 +72,8 @@ def test_apa_to_nba_equivalence_samples():
 
 def test_apa_to_nba_requires_weak():
     # A two-state odd/even alternation with colors 0 and 1 is not weak.
-    letters = all_letters(("p",))
     delta = {}
-    for a in letters:
+    for a in range(2):
         delta[(0, a)] = (1 << 1,)
         delta[(1, a)] = (1 << 0,)
     bad = APA(("p",), 2, 0, delta, (0, 1))
@@ -136,9 +138,10 @@ def test_nba_to_dpa_regression_infinitely_often_pattern():
 
 def test_dpa_is_total_and_deterministic():
     dpa = rldl_to_dpa(parse("[(tt;tt)*] p"), from_string("0011"), PQ)
-    for q in range(dpa.n_states):
-        for a in all_letters(PQ):
-            assert (q, a) in dpa.delta
+    assert len(dpa.delta) == dpa.n_states
+    for row in dpa.delta:
+        assert len(row) == len(all_letters(PQ))
+        assert all(t in dpa.states() for t in row)
 
 
 def test_dpa_complement():
@@ -235,20 +238,17 @@ def test_complement_nba_of_recurrent_implication_stays_small():
 def test_dpa_quotient_merges_duplicate_states():
     # Infinitely many p, written with two copies of each state; the
     # initial state behaves like a "no p" state.
-    p, empty = letter("p"), letter()
+    # Row q is (successor on {}, successor on {p}).
     step = {0: (1, 2), 1: (3, 4), 2: (1, 4), 3: (1, 2), 4: (3, 2)}
-    delta = {}
-    for q, (on_p, off_p) in step.items():
-        delta[(q, p)] = on_p
-        delta[(q, empty)] = off_p
+    delta = tuple((off_p, on_p) for _q, (on_p, off_p) in sorted(step.items()))
     dpa = DPA(("p",), 5, 0, delta, (1, 2, 1, 2, 1))
     small = dpa_quotient(dpa)
     assert small.n_states == 2
     assert small.initial == 0
-    for q in small.states():
-        for a in all_letters(("p",)):
-            assert small.delta[(q, a)] in small.states()
-    assert len(small.delta) == small.n_states * 2
+    assert len(small.delta) == small.n_states
+    for row in small.delta:
+        assert len(row) == 2
+        assert all(t in small.states() for t in row)
     rng = make_rng(11)
     for _ in range(40):
         w = random_lasso(rng, ("p",))
@@ -290,7 +290,7 @@ def test_compile_hoa_independent_of_hash_seed():
 def random_nba(rng, n_states: int) -> NBA:
     transitions = {}
     for q in range(n_states):
-        for a in all_letters(PQ):
+        for a in range(len(all_letters(PQ))):
             k = rng.choice((0, 1, 1, 2, 2, 3))
             transitions[(q, a)] = tuple(sorted(rng.sample(range(n_states), min(k, n_states))))
     accepting = frozenset(q for q in range(n_states) if rng.random() < 0.4)
@@ -356,15 +356,16 @@ def test_response_dpa_is_small_at_0001():
 def test_deterministic_nba_with_missing_letter_gets_rejecting_sink():
     # p forever, with a visit to the accepting state 1 on every {p, q}:
     # a letter without p has no successor at all.
-    pq, p_only = letter("p", "q"), letter("p")
-    transitions = {(q, a): () for q in range(2) for a in all_letters(PQ)}
+    pq, p_only = letter_of(PQ, {"p", "q"}), letter_of(PQ, {"p"})
+    transitions = {(q, a): () for q in range(2) for a in range(4)}
     for q in range(2):
         transitions[(q, pq)] = (1,)
         transitions[(q, p_only)] = (0,)
     nba = NBA(PQ, 2, 0, transitions, frozenset({1}))
     assert nba_simulation_reduce(nba).n_states == 2
     dpa = nba_to_dpa(nba)
-    assert len(dpa.delta) == dpa.n_states * 4
+    assert len(dpa.delta) == dpa.n_states
+    assert all(len(row) == 4 for row in dpa.delta)
     for text in ("; {p,q}", "; {p} {p,q}", "; {p}", "{p,q} ; {p}", "{p,q} {} ; {p,q}",
                  "; {p,q} {q}", "{p} ; {p,q} {p}"):
         w = parse_trace(text)
@@ -376,11 +377,10 @@ def test_deterministic_nba_with_missing_letter_gets_rejecting_sink():
 
 
 def random_dpa(rng, n_states: int) -> DPA:
-    delta = {
-        (q, a): rng.randrange(n_states)
-        for q in range(n_states)
-        for a in all_letters(PQ)
-    }
+    delta = tuple(
+        tuple(rng.randrange(n_states) for _a in all_letters(PQ))
+        for _q in range(n_states)
+    )
     color = tuple(rng.randint(0, 5) for _ in range(n_states))
     return DPA(PQ, n_states, 0, delta, color)
 
@@ -400,7 +400,8 @@ def test_least_priorities_keep_language_and_never_grow():
             quotient = dpa_quotient(start)
             assert small.n_states <= quotient.n_states, (i, q)
             assert max(small.color) <= max(quotient.color), (i, q)
-            assert len(small.delta) == small.n_states * 4
+            assert len(small.delta) == small.n_states
+            assert all(len(row) == 4 for row in small.delta)
             shrank += small.n_states < quotient.n_states
             for w in lassos:
                 assert dpa_accepts_lasso(small, w) == dpa_accepts_lasso(start, w), (i, q, w)
@@ -424,3 +425,142 @@ def test_transient_state_merges_with_same_successor_state():
     # state of the same successors.
     dpa = rldl_to_dpa(parse("([(((!u))*)] (!b -> (!b & u)))"), from_string("0001"))
     assert dpa.n_states == 2
+
+
+# Captured before letters became ints: the HOA text of one formula over
+# three propositions, so that AP numbering and edge order stay pinned.
+_HOA_FORMULA = "<tt*> (p & [tt] (q | r))"
+_HOA_DPA = """\
+HOA: v1
+States: 3
+Start: 0
+AP: 3 "p" "q" "r"
+acc-name: parity max even 2
+Acceptance: 2 Fin(1) & Inf(0)
+properties: trans-labels explicit-labels state-acc deterministic
+--BODY--
+State: 0 {1}
+[!0 & !1 & !2] 0
+[0 & !1 & !2] 1
+[0 & 1 & !2] 1
+[0 & 1 & 2] 1
+[0 & !1 & 2] 1
+[!0 & 1 & !2] 0
+[!0 & 1 & 2] 0
+[!0 & !1 & 2] 0
+State: 1 {1}
+[!0 & !1 & !2] 0
+[0 & !1 & !2] 1
+[0 & 1 & !2] 2
+[0 & 1 & 2] 2
+[0 & !1 & 2] 2
+[!0 & 1 & !2] 2
+[!0 & 1 & 2] 2
+[!0 & !1 & 2] 2
+State: 2 {0}
+[!0 & !1 & !2] 2
+[0 & !1 & !2] 2
+[0 & 1 & !2] 2
+[0 & 1 & 2] 2
+[0 & !1 & 2] 2
+[!0 & 1 & !2] 2
+[!0 & 1 & 2] 2
+[!0 & !1 & 2] 2
+--END--
+"""
+_HOA_NBA = """\
+HOA: v1
+States: 4
+Start: 0
+AP: 3 "p" "q" "r"
+acc-name: Buchi
+Acceptance: 1 Inf(0)
+properties: trans-labels explicit-labels state-acc
+--BODY--
+State: 0 {0}
+[!0 & !1 & !2] 1
+[0 & !1 & !2] 1
+[0 & !1 & !2] 2
+[0 & 1 & !2] 1
+[0 & 1 & !2] 2
+[0 & 1 & 2] 1
+[0 & 1 & 2] 2
+[0 & !1 & 2] 1
+[0 & !1 & 2] 2
+[!0 & 1 & !2] 1
+[!0 & 1 & 2] 1
+[!0 & !1 & 2] 1
+State: 1
+[!0 & !1 & !2] 1
+[0 & !1 & !2] 1
+[0 & !1 & !2] 2
+[0 & 1 & !2] 1
+[0 & 1 & !2] 2
+[0 & 1 & 2] 1
+[0 & 1 & 2] 2
+[0 & !1 & 2] 1
+[0 & !1 & 2] 2
+[!0 & 1 & !2] 1
+[!0 & 1 & 2] 1
+[!0 & !1 & 2] 1
+State: 2 {0}
+[0 & 1 & !2] 3
+[0 & 1 & 2] 3
+[0 & !1 & 2] 3
+[!0 & 1 & !2] 3
+[!0 & 1 & 2] 3
+[!0 & !1 & 2] 3
+State: 3 {0}
+[!0 & !1 & !2] 3
+[0 & !1 & !2] 3
+[0 & 1 & !2] 3
+[0 & 1 & 2] 3
+[0 & !1 & 2] 3
+[!0 & 1 & !2] 3
+[!0 & 1 & 2] 3
+[!0 & !1 & 2] 3
+--END--
+"""
+
+
+def test_hoa_text_over_three_props_is_pinned():
+    phi = parse(_HOA_FORMULA)
+    props = ("p", "q", "r")
+    assert dpa_to_hoa(rldl_to_dpa(phi, from_string("1111"), props)) == _HOA_DPA
+    assert nba_to_hoa(rldl_to_nba(phi, from_string("1111"), props)) == _HOA_NBA
+
+
+def test_tree_step_matches_recursive_reference(monkeypatch):
+    # Every compact-tree step of seeded determinizations, at every
+    # positive threshold, gives the tree, labels and priority of the
+    # recursive form.
+    step = omega._tree_step
+    calls = []
+
+    def checked(*args):
+        got = step(*args)
+        assert got == reference_tree_step(*args), args
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(omega, "_tree_step", checked)
+    rng = make_rng(515)
+    formulas = [random_formula(rng, LogicId.RLDL, rng.randint(3, 8), PQ) for _ in range(20)]
+    formulas += [parse(text) for text in (
+        "[tt*] (p -> <tt*> q)", "[tt*] <tt*> p", "<tt*> q & [tt*] <(tt;tt)*> q"
+    )]
+    for phi in formulas:
+        for beta in POSITIVE_VALUES:
+            rldl_to_dpa(phi, beta, PQ)
+    assert len(calls) > 5000
+    assert max(len(tree) for tree, _labels, _priority in calls) > 5
+
+
+def test_tree_step_handles_trees_deeper_than_the_recursion_limit():
+    # A chain of names 1, 2, ... whose every node holds the one NBA state:
+    # each inner node is green, so only the root survives.
+    depth = sys.getrecursionlimit() + 100
+    tree = tuple((name, name - 1 if name > 1 else None) for name in range(1, depth + 1))
+    labels = {name: frozenset({0}) for name in range(1, depth + 1)}
+    got = omega._tree_step(tree, labels, 0, {(0, 0): (0,)}, frozenset(), 1)
+    assert got == (((1, None),), {1: frozenset({0})}, 2)
