@@ -23,7 +23,6 @@ reach.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import TypeVar
 
@@ -45,7 +44,7 @@ from .formulas import (
     propositions,
     require_logic,
 )
-from .graphs import sccs
+from .graphs import explore, sccs
 from .guards import all_letters, letter_of, prop_holds, simple_eps_closure, thompson
 from .traces import LassoTrace
 from .truth import ALL_VALUES, BOTTOM, TOP, V0001, V0011, V0111, TruthValue4
@@ -205,36 +204,23 @@ def apa_accepts_lasso(a: APA, trace: LassoTrace) -> bool:
         msg = "trace uses propositions outside the automaton alphabet"
         raise AlphabetMismatchError(msg)
     word = [letter_of(a.props, trace.letter_at(i)) for i in range(trace.positions)]
-    # Vertex 0 accepts and vertex 1 rejects: self-loops of color 0 and 1.
     # Player 0 picks a model of a state's transition, player 1 a state of
-    # the model.
-    nodes: list = [("acc",), ("rej",), ("s", a.initial, 0)]
-    index = {node: i for i, node in enumerate(nodes)}
-    owner = [1, 0]
-    edges = [(0,), (1,)]
-    color = [0, 1]
-    for node in itertools.islice(nodes, 2, None):  # grows while it is walked
+    # the model.  The empty model accepts and no model rejects: sinks of
+    # color 0 and 1.
+    reject = ("rej", 0, 0)
+
+    def successors(node):
         kind, x, cls = node
         if kind == "s":
-            models = a.delta[(x, word[cls])]
             nxt = trace.canonical_index(cls + 1)
-            succs = [("m", m, nxt) for m in models] if models else [nodes[1]]
-            owner.append(0)
-            color.append(a.color[x])
-        else:
-            succs = [("s", q, cls) for q in bits(x)] if x else [nodes[0]]
-            owner.append(1)
-            color.append(0)
-        out = []
-        for s in succs:
-            i = index.get(s)
-            if i is None:
-                i = index[s] = len(nodes)
-                nodes.append(s)
-            out.append(i)
-        edges.append(tuple(out))
+            return [("m", m, nxt) for m in a.delta[(x, word[cls])]] or [reject]
+        return [("s", q, cls) for q in bits(x)] if x else [node]
+
+    order, _, edges = explore([("s", a.initial, 0)], successors)
+    owner = [int(kind == "m") for kind, _, _ in order]
+    color = [a.color[x] if kind == "s" else int(kind == "rej") for kind, x, _ in order]
     win0, _, _, _ = solve_parity(ParityGame.numbered(owner, edges, color))
-    return 2 in win0
+    return 0 in win0
 
 
 # Kinds of state keys and their colors.  A guard block over (guard, arg,
@@ -513,22 +499,23 @@ def from_rldl(
         names = extra
     prop_tuple = tuple(sorted(names))
     builder = _Builder(prop_tuple)
-    order = [builder.id_of(builder.root(phi, beta))]
-    number = {order[0]: 0}
-    delta = {}
-    for q, i in enumerate(order):  # grows while it is walked
-        for li in range(len(builder.letters)):
-            models = builder.delta(i, li)
+    letters = range(len(builder.letters))
+
+    def successors(i):
+        for li in letters:
             union = 0
-            for m in models:
+            for m in builder.delta(i, li):
                 union |= m
-            for t in bits(union):
-                if t not in number:
-                    number[t] = len(order)
-                    order.append(t)
-            delta[(q, li)] = tuple(
-                sorted(sum(1 << number[t] for t in bits(m)) for m in models)
-            )
+            yield from bits(union)
+
+    order, number, _ = explore([builder.id_of(builder.root(phi, beta))], successors)
+    delta = {
+        (q, li): tuple(sorted(
+            [sum(1 << number[t] for t in bits(m)) for m in builder.deltas[(i, li)]]
+        ))
+        for q, i in enumerate(order)
+        for li in letters
+    }
     color = tuple(builder.color(i) for i in order)
     return normalize_colors(APA(prop_tuple, len(order), 0, delta, color))
 

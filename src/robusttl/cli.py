@@ -250,6 +250,10 @@ def _cmd_fuzz(args) -> int:
     props = tuple(p.strip() for p in args.props.split(",") if p.strip())
     if not props:
         raise UsageError("--props must name at least one proposition")
+    if args.trials < 0:
+        raise UsageError(f"--trials must be nonnegative, got {args.trials}")
+    if args.size < 1:
+        raise UsageError(f"--size must be at least 1, got {args.size}")
     rng = make_rng(args.seed)
     for trial in range(args.trials):
         phi = random_formula(rng, LogicId.RLDL, rng.randint(1, args.size), props)

@@ -7,19 +7,19 @@ winning strategies come back as finite-state Mealy machines whose memory
 is the automaton state.
 
 The games this package builds hold only what a play from the start can
-reach.  They number their vertices 0..n-1, the start 0, and keep a
-`back` list from each number to the product node it stands for; the
-solver numbers any other game's vertices in the order given.  Regions
-are walked as lists in that order, never as sets, so strategies do not
-depend on the hash seed.  A strategy is checked on the nodes it reaches
-before it is returned.
+reach.  They number their vertices 0..n-1 with ``graphs.explore``, the
+start 0, and keep a `back` list from each number to the product node
+it stands for; the solver numbers any other game's vertices in the
+order given.  Regions are walked as lists in that order, never as
+sets, so strategies do not depend on the hash seed.  A strategy is
+checked on the nodes it reaches before it is returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .formulas import Formula, LogicId, propositions, require_logic
-from .graphs import least_priorities, read_graph_text
+from .graphs import explore, least_priorities, read_graph_text
 from .guards import letter_of
 from .traces import LassoTrace
 from .truth import TruthValue4
@@ -177,7 +177,12 @@ def _zielonka(succ: list, owner: list, color: list):
             state[v] = 1
         return wins, strats
 
-    return solve(everything)
+    # solve refers to itself through its closure: deleting it breaks the
+    # cycle, so the solver's lists are freed on return, not by the
+    # cyclic collector.
+    solution = solve(everything)
+    del solve
+    return solution
 
 
 @dataclass(frozen=True)
@@ -216,29 +221,15 @@ def reduce_game(graph: LabeledGameGraph, dpa, start: int) -> tuple[ParityGame, l
     """
     graph.validate()
     letter = {v: letter_of(dpa.props, graph.labels[v]) for v in graph.vertices}
-    back = [(graph.vertices[start], dpa.initial)]
-    index = {back[0]: 0}
-    rows: dict = {}  # (v, next state) -> successors, shared between nodes
-    owner = []
-    edges = []
-    color = []
-    for v, q in back:  # grows while it is walked
+
+    def successors(node):
+        v, q = node
         q2 = dpa.delta[q][letter[v]]
-        out = rows.get((v, q2))
-        if out is None:
-            out = []
-            for v2 in graph.edges[v]:
-                node = (v2, q2)
-                i = index.get(node)
-                if i is None:
-                    i = index[node] = len(back)
-                    back.append(node)
-                out.append(i)
-            out = rows[(v, q2)] = tuple(out)
-        edges.append(out)
-        owner.append(graph.owner[v])
-        color.append(dpa.color[q])
-    del index, rows
+        return [(v2, q2) for v2 in graph.edges[v]]
+
+    back, _, edges = explore([(graph.vertices[start], dpa.initial)], successors)
+    owner = [graph.owner[v] for v, _ in back]
+    color = [dpa.color[q] for _, q in back]
     return ParityGame.numbered(owner, edges, color), back
 
 
@@ -286,26 +277,17 @@ def _checked_reach(game: ParityGame, strat0: dict) -> list:
     cycle the plays can close has an even top color, which holds exactly
     when ``least_priorities`` gives no reached node an odd priority.
     """
-    reached = [0]
-    local = {0: 0}
-    succ = []
-    for i in reached:  # grows while it is walked
+
+    def successors(i):
         if game.owner[i] == 0:
             move = strat0.get(i)
             if move not in game.edges[i]:
                 msg = f"internal error: strategy has no move at product node {i}"
                 raise AssertionError(msg)
-            targets = (move,)
-        else:
-            targets = game.edges[i]
-        out = []
-        for j in targets:
-            k = local.get(j)
-            if k is None:
-                k = local[j] = len(reached)
-                reached.append(j)
-            out.append(k)
-        succ.append(out)
+            return (move,)
+        return game.edges[i]
+
+    reached, _, succ = explore([0], successors)
     least = least_priorities(succ, [game.color[i] for i in reached])
     if any(p & 1 for p in least):
         msg = "internal error: strategy lets a play settle on an odd top color"
@@ -369,29 +351,16 @@ def _color_game(graph: LabeledGameGraph, dpa, color_prop: str, start: int):
     for v in graph.vertices:
         a = letter_of(dpa.props, graph.labels[v]) & ~mask
         letters[v] = (a, a | mask)
-    back = [("pick", graph.vertices[start], dpa.initial)]
-    index = {back[0]: 0}
-    owner = []
-    edges = []
-    color = []
-    for kind, v, q in back:  # grows while it is walked
+
+    def successors(node):
+        kind, v, q = node
         if kind == "pick":
-            succs = [("move", v, dpa.delta[q][a]) for a in letters[v]]
-            owner.append(0)
-            color.append(dpa.color[q])
-        else:
-            succs = [("pick", v2, q) for v2 in graph.edges[v]]
-            owner.append(graph.owner[v])
-            color.append(0)
-        out = []
-        for node in succs:
-            i = index.get(node)
-            if i is None:
-                i = index[node] = len(back)
-                back.append(node)
-            out.append(i)
-        edges.append(tuple(out))
-    del index
+            return [("move", v, dpa.delta[q][a]) for a in letters[v]]
+        return [("pick", v2, q) for v2 in graph.edges[v]]
+
+    back, _, edges = explore([("pick", graph.vertices[start], dpa.initial)], successors)
+    owner = [0 if kind == "pick" else graph.owner[v] for kind, v, _ in back]
+    color = [dpa.color[q] if kind == "pick" else 0 for kind, _, q in back]
     return ParityGame.numbered(owner, edges, color), back
 
 

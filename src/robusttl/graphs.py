@@ -1,7 +1,45 @@
-"""Graph routines shared by the layers: strongly connected components,
-least parity priorities, and the line format that transition systems and
-game arenas are written in."""
+"""Graph routines shared by the layers: breadth-first numbering of the
+nodes reachable from a start, strongly connected components, least
+parity priorities, and the line format that transition systems and game
+arenas are written in.
+
+Every automaton, product and game of the package is built on the fly
+(Gerth, Peled, Vardi and Wolper, PSTV 1995) by ``explore``: only the
+nodes reachable from the start are made, and the numbers ``explore``
+gives them are the state numbers of the automaton, the vertex numbers
+of the game, the memory of a strategy and the count behind a prompt
+bound.
+"""
 from __future__ import annotations
+
+
+def explore(roots, successors) -> tuple[list, dict, list]:
+    """Number the nodes reachable from roots, breadth-first.
+
+    The roots are numbered 0, 1, ... in order, and every other node gets
+    the next number when it is first named.  Nodes are taken in number
+    order and ``successors(node)`` is called once for each; it may name a
+    node more than once.  Returns (order, index, rows): order[i] is node
+    i, index maps a node to its number, and rows[i] is the tuple of the
+    numbers of node i's successors, in the order they were named.
+    """
+    order: list = []
+    index: dict = {}
+    for root in roots:
+        if root not in index:
+            index[root] = len(order)
+            order.append(root)
+    rows: list = []
+    for node in order:  # grows while it is walked
+        row = []
+        for succ in successors(node):
+            i = index.get(succ)
+            if i is None:
+                i = index[succ] = len(order)
+                order.append(succ)
+            row.append(i)
+        rows.append(tuple(row))
+    return order, index, rows
 
 
 def sccs(roots, successors) -> list[tuple]:

@@ -34,7 +34,7 @@ from .formulas import (
     Test,
     Tt,
 )
-from .graphs import sccs
+from .graphs import explore, sccs
 
 
 class HasTestsError(ValueError):
@@ -250,21 +250,13 @@ def dfa_product(d1: GuardDFA, d2: GuardDFA) -> GuardDFA:
     if d1.props != d2.props:
         msg = f"propositions differ: {d1.props} vs {d2.props}"
         raise ValueError(msg)
-    start = (d1.initial, d2.initial)
-    index = {start: 0}
-    order = [start]
-    rows = []
-    for q1, q2 in order:  # grows while it is walked
-        row = []
-        for target in zip(d1.transitions[q1], d2.transitions[q2]):
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-            row.append(index[target])
-        rows.append(tuple(row))
+    order, _, rows = explore(
+        [(d1.initial, d2.initial)],
+        lambda node: zip(d1.transitions[node[0]], d2.transitions[node[1]]),
+    )
     finals = frozenset(
-        index[(q1, q2)]
-        for q1, q2 in order
+        i
+        for i, (q1, q2) in enumerate(order)
         if q1 in d1.finals and q2 in d2.finals
     )
     return GuardDFA(
@@ -283,26 +275,19 @@ def determinize(nfa: GuardNFA, props) -> GuardDFA:
         raise HasTestsError(msg)
     flat = nfa if all(not e for e in nfa.eps) else eps_eliminate_test_free(nfa)
     alphabet = all_letters(props)
-    initial = frozenset({flat.initial})
-    index: dict[frozenset[int], int] = {initial: 0}
-    order = [initial]
-    rows = []
-    for subset in order:  # grows while it is walked
-        row = []
+
+    def successors(subset):
         for letter in alphabet:
-            target = frozenset(
+            yield frozenset(
                 t
                 for q in subset
                 for formula, t in flat.letters[q]
                 if prop_holds(letter, formula)
             )
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-            row.append(index[target])
-        rows.append(tuple(row))
+
+    order, _, rows = explore([frozenset({flat.initial})], successors)
     finals = frozenset(
-        index[s] for s in order if any(q in flat.finals for q in s)
+        i for i, s in enumerate(order) if any(q in flat.finals for q in s)
     )
     return GuardDFA(
         n_states=len(order),

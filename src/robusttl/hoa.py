@@ -1,7 +1,9 @@
 """HOA v1 serialization for Buchi and parity automata.
 
 Header lines are emitted in a fixed order so output is bit-stable:
-HOA:, States:, Start:, AP:, acc-name:, Acceptance:, properties:.
+HOA:, name:, States:, Start:, AP:, acc-name:, Acceptance:, properties:.
+The name and the APs are HOA strings, with backslash and double quote
+escaped.
 AP i is the i-th sorted proposition, which is bit i of a letter number
 (see ``guards``).  Every edge is labeled with the full conjunction
 describing one letter, so the body is explicit; a state's edges follow
@@ -24,6 +26,23 @@ def _labels(props: tuple) -> list:
     return out
 
 
+def _quoted(text: str) -> str:
+    """A HOA string: in double quotes, with backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _header(auto, name: str | None) -> list:
+    """The HOA:, name:, States:, Start: and AP: lines of an automaton."""
+    lines = ["HOA: v1"]
+    if name is not None:
+        lines.append(f"name: {_quoted(name)}")
+    lines.append(f"States: {auto.n_states}")
+    lines.append(f"Start: {auto.initial}")
+    ap = " ".join(_quoted(p) for p in auto.props)
+    lines.append(f"AP: {len(auto.props)} {ap}".rstrip())
+    return lines
+
+
 def _parity_acceptance(n_colors: int) -> str:
     # Max-even parity, built from the highest color downward.
     expr = None
@@ -42,13 +61,7 @@ def _parity_acceptance(n_colors: int) -> str:
 
 
 def nba_to_hoa(nba: NBA, name: str | None = None) -> str:
-    lines = ["HOA: v1"]
-    if name is not None:
-        lines.append(f'name: "{name}"')
-    lines.append(f"States: {nba.n_states}")
-    lines.append(f"Start: {nba.initial}")
-    ap = " ".join(f'"{p}"' for p in nba.props)
-    lines.append(f"AP: {len(nba.props)} {ap}".rstrip())
+    lines = _header(nba, name)
     lines.append("acc-name: Buchi")
     lines.append("Acceptance: 1 Inf(0)")
     lines.append("properties: trans-labels explicit-labels state-acc")
@@ -66,13 +79,7 @@ def nba_to_hoa(nba: NBA, name: str | None = None) -> str:
 
 def dpa_to_hoa(dpa: DPA, name: str | None = None) -> str:
     n_colors = max(dpa.color) + 1 if dpa.color else 1
-    lines = ["HOA: v1"]
-    if name is not None:
-        lines.append(f'name: "{name}"')
-    lines.append(f"States: {dpa.n_states}")
-    lines.append(f"Start: {dpa.initial}")
-    ap = " ".join(f'"{p}"' for p in dpa.props)
-    lines.append(f"AP: {len(dpa.props)} {ap}".rstrip())
+    lines = _header(dpa, name)
     lines.append(f"acc-name: parity max even {n_colors}")
     lines.append(f"Acceptance: {n_colors} {_parity_acceptance(n_colors)}")
     lines.append(

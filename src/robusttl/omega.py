@@ -29,12 +29,13 @@ lets more states merge.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
 from .apa import APA, AlphabetMismatchError, bits, extend, is_weak
 from .formulas import Formula, LogicId, require_logic
-from .graphs import least_priorities, sccs
+from .graphs import explore, least_priorities, sccs
 from .guards import all_letters, letter_of
 from .traces import LassoTrace
 from .truth import TOP, TruthValue4
@@ -88,7 +89,9 @@ def apa_to_nba(a: APA) -> NBA:
     kept.  Union preserves the
     order, so the fold yields exactly the minimal pairs among all choices
     of one model per state, and a pair that contains another accepts a
-    subset of its language, so dropping it keeps the language.
+    subset of its language, so dropping it keeps the language.  Pairs
+    are numbered breadth-first from the initial one, letter by letter
+    and in the int order of the pairs of each letter.
     """
     if not is_weak(a):
         msg = "dealternation requires a weak alternating automaton"
@@ -97,15 +100,12 @@ def apa_to_nba(a: APA) -> NBA:
     n = a.n_states
     slice_bits = (1 << n) - 1
     bad = sum(1 << q for q in range(n) if a.color[q] % 2 == 1)
-    start = 1 << a.initial
-    index = {start: 0}
-    order = [start]
-    transitions: dict = {}
-    work = [start]
-    while work:
-        node = work.pop()
+    moves: list = []  # moves[i][letter]: node i's successors on letter
+
+    def successors(node):
         slice_, owing = node & slice_bits, node >> n
         states = [q for q in range(n) if slice_ >> q & 1]
+        per_letter = []
         for letter in range(n_letters):
             partial = [0]
             for q in states:
@@ -117,14 +117,16 @@ def apa_to_nba(a: APA) -> NBA:
                     break
             if not owing:
                 partial = [s | (s & bad) << n for s in partial]
-            for s in sorted(partial):
-                if s not in index:
-                    index[s] = len(order)
-                    order.append(s)
-                    work.append(s)
-            transitions[(index[node], letter)] = tuple(
-                sorted(index[s] for s in partial)
-            )
+            per_letter.append(sorted(partial))
+        moves.append(per_letter)
+        return itertools.chain.from_iterable(per_letter)
+
+    order, index, _ = explore([1 << a.initial], successors)
+    transitions = {
+        (i, letter): tuple(sorted([index[s] for s in succs]))
+        for i, per_letter in enumerate(moves)
+        for letter, succs in enumerate(per_letter)
+    }
     accepting = frozenset(i for i, s in enumerate(order) if not s >> n)
     return NBA(a.props, len(order), 0, transitions, accepting)
 
@@ -135,30 +137,18 @@ def nba_accepts_lasso(nba: NBA, trace: LassoTrace) -> bool:
         msg = "trace uses propositions outside the automaton alphabet"
         raise AlphabetMismatchError(msg)
     word = [letter_of(nba.props, trace.letter_at(i)) for i in range(trace.positions)]
-    start = (nba.initial, 0)
-    graph: dict = {}
-    seen = {start}
-    work = [start]
-    while work:
-        node = work.pop()
+
+    def successors(node):
         q, cls = node
-        nxt_cls = trace.canonical_index(cls + 1)
-        succs = tuple(
-            (q2, nxt_cls) for q2 in nba.transitions[(q, word[cls])]
-        )
-        graph[node] = succs
-        for s in succs:
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
-    for comp in sccs(graph, graph.__getitem__):
-        comp_set = set(comp)
-        has_edge = any(s in comp_set for n in comp for s in graph[n])
-        if not has_edge:
-            continue
-        if any(q in nba.accepting for q, _ in comp):
-            return True
-    return False
+        nxt = trace.canonical_index(cls + 1)
+        return [(q2, nxt) for q2 in nba.transitions[(q, word[cls])]]
+
+    order, _, rows = explore([(nba.initial, 0)], successors)
+    return any(
+        (len(comp) > 1 or comp[0] in rows[comp[0]])
+        and any(order[i][0] in nba.accepting for i in comp)
+        for comp in sccs(range(len(rows)), rows.__getitem__)
+    )
 
 
 def nba_emptiness(nba: NBA) -> LassoTrace | None:
@@ -369,24 +359,26 @@ def nba_simulation_reduce(nba: NBA) -> NBA:
                     members |= 1 << q
                     rep[q] = p
             equal[p] = members
-    index = {rep[nba.initial]: 0}
-    order = [rep[nba.initial]]
-    transitions: dict = {}
-    for i, r in enumerate(order):  # grows while it is walked
+    moves: list = []  # moves[i][letter]: class i's successor classes on letter
+
+    def successors(r):
+        per_letter = []
         for letter in range(1 << len(nba.props)):
             tops = 0
             for s in nba.transitions.get((r, letter), ()):
                 tops |= 1 << rep[s]
-            kept = []
-            for c in bits(tops):
-                if sim[c] & tops & ~equal[c]:
-                    continue
-                j = index.get(c)
-                if j is None:
-                    j = index[c] = len(order)
-                    order.append(c)
-                kept.append(j)
-            transitions[(i, letter)] = tuple(sorted(kept))
+            per_letter.append(
+                [c for c in bits(tops) if not sim[c] & tops & ~equal[c]]
+            )
+        moves.append(per_letter)
+        return itertools.chain.from_iterable(per_letter)
+
+    order, index, _ = explore([rep[nba.initial]], successors)
+    transitions = {
+        (i, letter): tuple(sorted([index[c] for c in kept]))
+        for i, per_letter in enumerate(moves)
+        for letter, kept in enumerate(per_letter)
+    }
     accepting = frozenset(i for i, r in enumerate(order) if r in nba.accepting)
     return NBA(nba.props, len(order), 0, transitions, accepting)
 
@@ -502,57 +494,39 @@ def nba_to_dpa(nba: NBA) -> DPA:
     if all(len(succs) <= 1 for succs in nba.transitions.values()):
         return _dba_to_dpa(nba)
     n_bound = max(nba.n_states, 1)
-    init_tree = ((1, None),)
-    init_labels = {1: frozenset((nba.initial,))}
-    empty_tree = ()
-
-    def canon(tree, labels):
-        return (
-            tree,
-            tuple(frozenset(labels[name]) for name, _ in tree),
-        )
-
     neutral = 2 * n_bound + 1
     max_priority = 2 * n_bound + 2
-    start = canon(init_tree, init_labels)
-    tree_index = {start: 0}
-    tree_order = [start]
-    edges: dict = {}
-    work = [start]
-    while work:
-        node = work.pop()
-        tree, label_tuple = node
-        labels = {name: label_tuple[i] for i, (name, _) in enumerate(tree)}
-        row = []
-        for letter in range(1 << len(nba.props)):
-            if not tree:
-                nxt = (empty_tree, ())
-                priority = neutral
-            else:
-                t2, l2, priority = _tree_step(
-                    tree, labels, letter, nba.transitions, nba.accepting, n_bound
-                )
-                nxt = canon(t2, l2)
-            if nxt not in tree_index:
-                tree_index[nxt] = len(tree_order)
-                tree_order.append(nxt)
-                work.append(nxt)
-            row.append((tree_index[nxt], priority))
-        edges[tree_index[node]] = row
-    # Convert transition priorities to state colors (max parity).
     k_even = max_priority if max_priority % 2 == 0 else max_priority + 1
-    state_index: dict = {(0, neutral): 0}
-    order: list = [(0, neutral)]
-    rows: list = []
-    for tree_id, _priority in order:  # grows while it is walked
-        row = []
-        for key in edges[tree_id]:
-            target = state_index.get(key)
-            if target is None:
-                target = state_index[key] = len(order)
-                order.append(key)
-            row.append(target)
-        rows.append(tuple(row))
+    # A tree is kept with the label sets of its names, in name order.
+    trees = [(((1, None),), (frozenset((nba.initial,)),))]
+    tree_number = {trees[0]: 0}
+    tree_rows: dict = {}  # tree number -> (tree number, priority) per letter
+
+    def successors(state):
+        """The states after a tree, each a tree paired with the min-parity
+        priority of its incoming transition; a tree's row is built once."""
+        row = tree_rows.get(state[0])
+        if row is None:
+            tree, label_tuple = trees[state[0]]
+            labels = {name: label_tuple[i] for i, (name, _) in enumerate(tree)}
+            row = tree_rows[state[0]] = []
+            for letter in range(1 << len(nba.props)):
+                if tree:
+                    t2, l2, priority = _tree_step(
+                        tree, labels, letter, nba.transitions, nba.accepting, n_bound
+                    )
+                    nxt = (t2, tuple(l2[name] for name, _ in t2))
+                else:
+                    nxt, priority = ((), ()), neutral
+                if nxt not in tree_number:
+                    tree_number[nxt] = len(trees)
+                    trees.append(nxt)
+                row.append((tree_number[nxt], priority))
+        return row
+
+    # A state is a tree with the priority of its incoming transition, so
+    # transition priorities become state colors (max parity).
+    order, _, rows = explore([(0, neutral)], successors)
     color = [k_even - priority for _, priority in order]
     return _minimize(nba.props, rows, color, 0)
 
@@ -609,22 +583,15 @@ def dpa_with_changes(d: DPA, prop: str) -> DPA:
     emitted infinitely often is d's plus 2, or 1 if prop settles.
     """
     mask = 1 << d.props.index(prop)
-    start = (d.initial, 0, d.color[d.initial], 1)
-    index = {start: 0}
-    order = [start]
-    rows = []
-    for q, bit, top, _ in order:  # grows while it is walked
-        row = []
+
+    def successors(node):
+        q, bit, top, _ = node
         for a, t in enumerate(d.delta[q]):
             b = a & mask
             c = d.color[t]
-            node = (t, b, max(top, c), 1) if b == bit else (t, b, c, top + 2)
-            i = index.get(node)
-            if i is None:
-                i = index[node] = len(order)
-                order.append(node)
-            row.append(i)
-        rows.append(tuple(row))
+            yield (t, b, max(top, c), 1) if b == bit else (t, b, c, top + 2)
+
+    order, _, rows = explore([(d.initial, 0, d.color[d.initial], 1)], successors)
     return _minimize(d.props, rows, [node[3] for node in order], 0)
 
 
@@ -660,19 +627,9 @@ def _quotient(rows: list, color, initial: int):
     member: dict = {}
     for q in range(n_states):
         member.setdefault(block[q], q)
-    number = {block[initial]: 0}
-    order = [block[initial]]
-    merged = []
-    for b in order:  # grows while it is walked
-        row = []
-        for t in rows[member[b]]:
-            target = block[t]
-            i = number.get(target)
-            if i is None:
-                i = number[target] = len(order)
-                order.append(target)
-            row.append(i)
-        merged.append(tuple(row))
+    order, _, merged = explore(
+        [block[initial]], lambda b: [block[t] for t in rows[member[b]]]
+    )
     return merged, [color[member[b]] for b in order], 0
 
 

@@ -150,6 +150,15 @@ def test_compile_emits_hoa_nba_with_name(capsys):
     assert "acc-name: Buchi" in out
 
 
+def test_compile_escapes_the_hoa_name(capsys):
+    code, out, _ = run(
+        ["compile", "--formula", "p", "--beta", "1111", "--name", 'a"b\\c'],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[1] == 'name: "a\\"b\\\\c"'
+
+
 def test_compile_props_override_widens_alphabet(capsys):
     code, out, _ = run(
         ["compile", "--formula", "<tt*> p", "--beta", "0001", "--props", "p,q"],
@@ -469,6 +478,19 @@ def test_fuzz_reports_ok_and_is_deterministic(capsys):
     code, second, _ = run(argv, capsys)
     assert code == 0
     assert second == first
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--size", "0", "error: --size must be at least 1, got 0\n"),
+        ("--trials", "-3", "error: --trials must be nonnegative, got -3\n"),
+    ],
+)
+def test_fuzz_rejects_bad_counts(flag, value, message, capsys):
+    argv = ["fuzz", "--trials", "1", "--seed", "1", flag, value]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", message)
 
 
 def test_fragment_errors_independent_of_hash_seed():

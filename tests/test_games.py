@@ -1,5 +1,7 @@
 """Parity-game solving, arena reductions, and strategy extraction."""
 
+import gc
+
 import pytest
 from _oracles import (
     brute_force_winner,
@@ -177,6 +179,19 @@ def test_solver_matches_reference_zielonka(batch):
         want0, want1, _, _ = reference_solve_parity(game)
         assert solution[:2] == (want0, want1)
         check_solution(game, solution)
+
+
+def test_solver_leaves_no_reference_cycle():
+    # Everything the solver allocates is freed by reference counting when
+    # it returns, so the cyclic collector finds nothing to collect.
+    game = random_parity_game(make_rng(3), 40, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_parity(game)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kind", ["str", "tuple"])

@@ -1,5 +1,13 @@
-from robusttl.gen import make_rng
-from robusttl.graphs import least_priorities, sccs
+import pytest
+
+from robusttl.formulas import Box, Diamond, LogicId, closure, guard_tests, propositions
+from robusttl.games import _color_game, reduce_game
+from robusttl.gen import make_rng, random_labeled_game
+from robusttl.graphs import explore, least_priorities, sccs
+from robusttl.guards import determinize, dfa_product, thompson
+from robusttl.omega import dpa_with_changes, rldl_to_dpa, rldl_to_nba
+from robusttl.parser import parse
+from robusttl.truth import POSITIVE_VALUES
 
 
 def _reach(succ):
@@ -91,3 +99,85 @@ def test_least_priorities_keep_the_parity_of_every_closed_walk():
             odd = odd or top % 2 == 1
         assert 0 <= min(prio) and max(prio) <= max(color), (succ, color, prio)
         assert any(p % 2 for p in prio) == odd, (succ, color, prio)
+
+
+def test_explore_numbers_roots_first_then_nodes_as_first_named():
+    succ = {"a": ["c", "b"], "b": ["b", "d", "c", "d"], "c": [], "d": ["a"], "x": ["d"]}
+    calls = []
+
+    def successors(node):
+        calls.append(node)
+        return succ[node]
+
+    order, index, rows = explore(["x", "a", "x"], successors)
+    # The roots come first, a repeated root once; the rest in the order
+    # they are first named, taking nodes in number order.
+    assert order == ["x", "a", "d", "c", "b"]
+    assert index == {node: i for i, node in enumerate(order)}
+    # successors is called once per node, in number order.
+    assert calls == order
+    # Rows keep the order and the repeats of successors; self edges and
+    # edges back to earlier nodes are numbered like any other.
+    assert rows == [(2,), (3, 4), (1,), (), (4, 2, 3, 2)]
+
+
+def test_explore_takes_successors_from_iterators():
+    order, _, rows = explore([0], lambda n: iter(range(n + 1, min(n + 3, 5))))
+    assert order == [0, 1, 2, 3, 4]
+    assert rows == [(1, 2), (2, 3), (3, 4), (4,), ()]
+
+
+def _numbered_as_first_named(rows) -> bool:
+    """Reading the rows in order, each node first appears with the next
+    unused number; node 0 is the start."""
+    unused = 1
+    for row in rows:
+        for t in row:
+            if t == unused:
+                unused += 1
+            elif t > unused:
+                return False
+    return True
+
+
+# Formulas of the benchmark's compile pool, over two propositions.  The
+# parity automata of these come from the compact-tree construction;
+# those read off a deterministic Buechi automaton keep its numbers and
+# add their rejecting sink last.
+_POOL = (
+    "!(([(((!(x)))*)] (<((w))> !(!x))))",
+    "!(([(((s) + ((s))*))] ([(((!o & s)))] (<((o))> s))))",
+    "(<(((j) ; ((!(j)))*))> (([(((tt | !m)))] j) & ([((m))] !m)))",
+    "([((((({(k | k)}?)* + (!k)) + ((tt | w))))*)] (<(((!(!w)) ; (!(!w))))> (!w | k)))",
+)
+
+
+@pytest.mark.parametrize("text", _POOL)
+def test_built_automata_and_games_are_numbered_as_first_named(text):
+    phi = parse(text, LogicId.RLDL)
+    props = tuple(sorted(propositions(phi)))
+    letters = range(1 << len(props))
+    graph = random_labeled_game(make_rng(len(text)), 6, props)
+    for beta in POSITIVE_VALUES:
+        nba = rldl_to_nba(phi, beta, props)
+        assert nba.initial == 0
+        assert _numbered_as_first_named(
+            [[t for a in letters for t in nba.transitions[(q, a)]] for q in range(nba.n_states)]
+        )
+        dpa = rldl_to_dpa(phi, beta, props)
+        assert dpa.initial == 0
+        assert _numbered_as_first_named(dpa.delta)
+        game, _ = reduce_game(graph, dpa, 0)
+        assert _numbered_as_first_named([game.edges[v] for v in game.vertices])
+        changes = dpa_with_changes(rldl_to_dpa(phi, beta, (*props, "c")), "c")
+        assert changes.initial == 0
+        assert _numbered_as_first_named(changes.delta)
+        game, _ = _color_game(graph, changes, "c", 0)
+        assert _numbered_as_first_named([game.edges[v] for v in game.vertices])
+    guards = [f.guard for f in closure(phi) if isinstance(f, (Box, Diamond))]
+    dfas = [determinize(thompson(g), props) for g in guards if not guard_tests(g)]
+    assert dfas
+    for d1 in dfas:
+        for dfa in (d1, *(dfa_product(d1, d2) for d2 in dfas)):
+            assert dfa.initial == 0
+            assert _numbered_as_first_named(dfa.transitions)
