@@ -23,8 +23,7 @@ reach.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TypeVar
+from dataclasses import dataclass
 
 from .formulas import (
     And,
@@ -48,9 +47,6 @@ from .graphs import explore, sccs
 from .guards import all_letters, letter_of, prop_holds, simple_eps_closure, thompson
 from .traces import LassoTrace
 from .truth import ALL_VALUES, BOTTOM, TOP, V0001, V0011, V0111, TruthValue4
-
-
-Colored = TypeVar("Colored")
 
 
 class AlphabetMismatchError(ValueError):
@@ -168,32 +164,7 @@ def apa_complement(a: APA) -> APA:
     """Dualize transitions and shift colors by one."""
     delta = {key: models_dual(models) for key, models in a.delta.items()}
     color = tuple(c + 1 for c in a.color)
-    return normalize_colors(
-        APA(a.props, a.n_states, a.initial, delta, color)
-    )
-
-
-def normalize_colors(a: Colored) -> Colored:
-    """Compress colors monotonically while preserving parity.
-
-    Works on any automaton with a per-state ``color`` tuple: the
-    alternating automata here and the parity automata of ``omega``.
-    """
-    used = sorted(set(a.color))
-    if not used:
-        return a
-    mapping = {}
-    prev_old = used[0]
-    prev_new = used[0] & 1
-    mapping[prev_old] = prev_new
-    for c in used[1:]:
-        step = 1 if (c - prev_old) % 2 == 1 else 2
-        prev_new += step
-        mapping[c] = prev_new
-        prev_old = c
-    if all(mapping[c] == c for c in used):
-        return a
-    return replace(a, color=tuple(mapping[c] for c in a.color))
+    return APA(a.props, a.n_states, a.initial, delta, color)
 
 
 def apa_accepts_lasso(a: APA, trace: LassoTrace) -> bool:
@@ -517,7 +488,7 @@ def from_rldl(
         for li in letters
     }
     color = tuple(builder.color(i) for i in order)
-    return normalize_colors(APA(prop_tuple, len(order), 0, delta, color))
+    return APA(prop_tuple, len(order), 0, delta, color)
 
 
 def weak_components(a: APA):

@@ -3,8 +3,9 @@
 Subcommands: eval, translate, compile, mc, synth, guard-check, fuzz.
 Exit codes: 0 success / property holds / player 0 wins, 1 property
 violated / player 1 wins / divergence found, 2 usage or input error
-(a formula nested too deeply for the passes that still recurse, the
-parser, the evaluator and the APA compiler, counts as one),
+(a formula nested too deeply for the passes that still recurse counts
+as one: the evaluator, the APA compiler, and the parser on brackets
+nested about 490 deep),
 3 internal error: any other exception, reported as `internal error: …`.
 All output is deterministic given identical inputs and seeds.
 """

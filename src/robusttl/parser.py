@@ -8,13 +8,24 @@ Formula operators, loosest binding first:
     f U f,  f R f       until / release, right associative
     ! f, X f, F f, G f, Fp f, < r > f, [ r ] f, <p r > f
 
-Guards use `+` (union), `;` (concatenation), `*` (iteration), `{ f }?`
-(tests) and propositional formulas over `!`, `&`, `|`, `tt`, `ff` as atoms.
+Guard operators, loosest binding first: `+` (union), `;` (concatenation),
+postfix `*` (iteration), then `|`, `&` and `!` over propositional
+operands; the operands are `tt`, `ff`, atoms, `( r )` and tests `{ f }?`.
+`<p` opens a prompt diamond iff the token after `p` can start a guard
+operand, so `<p*> q` is a diamond and `<p tt*> q` a prompt diamond.
+
+One operator-precedence parser reads both (Pratt, "Top down operator
+precedence", POPL 1973): each context has one table of binary and
+postfix operators and one of prefix operators.  Operator chains are read
+with an explicit stack and prefix chains with a loop, so only bracket
+nesting (`( )`, `[ ]`, `< >`, `{ }?`) recurses, two frames per bracket:
+about 490 nested brackets reach Python's default recursion limit of 1000.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .formulas import (
     Alt,
@@ -51,50 +62,95 @@ class FormulaSyntaxError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|"
-    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)|"
-    r"(?P<punct>[!&|(){}?+;*<>\[\]]))"
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<op>->|[!&|(){}?+;*<>\[\]])|(?P<bad>\S)"
 )
 
 _KEYWORDS = {"tt", "ff", "X", "F", "G", "Fp", "U", "R"}
 
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# The tokens that can start a guard operand.
+_GUARD_START = {"ident", "tt", "ff", "(", "{", "!"}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            msg = f"unexpected character {rest[0]!r} at position {pos}"
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, then an end token."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        word = match.group()
+        if match.lastgroup == "bad":
+            msg = f"unexpected character {word!r} at position {match.start()}"
             raise FormulaSyntaxError(msg)
-        pos = match.end()
-        if match.lastgroup == "arrow":
-            tokens.append(_Token("->", "->", match.start()))
-        elif match.lastgroup == "ident":
-            word = match.group("ident")
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, match.start()))
-        else:
-            tokens.append(_Token(match.group("punct"), match.group("punct"), match.start()))
-    tokens.append(_Token("end", "", len(text)))
+        kind = "ident" if match.lastgroup == "ident" and word not in _KEYWORDS else word
+        tokens.append((kind, word, match.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _GuardResult:
-    """Marks a parenthesized group that is a guard, not a proposition."""
+def _negate(arg: Formula) -> Formula:
+    return NegAtom(arg.name) if type(arg) is Atom else Not(arg)
 
-    def __init__(self, guard: Guard):
-        self.guard = guard
+
+def _lift(build: Callable[..., Formula]) -> Callable[..., Guard]:
+    """A formula constructor applied to the formulas of `Prop` guards."""
+
+    def lifted(*guards: Guard) -> Guard:
+        for guard in guards:
+            if type(guard) is not Prop:
+                msg = f"guard expression cannot be used as a propositional operand: {guard}"
+                raise FormulaSyntaxError(msg)
+        return Prop(build(*(guard.formula for guard in guards)))
+
+    return lifted
+
+
+class _Syntax(NamedTuple):
+    name: str
+    # Token kind -> (level, "left" / "right" / "postfix", constructor);
+    # a higher level binds tighter.
+    binary: dict
+    # Token kind -> (constructor, closing bracket of a guard argument or None).
+    prefix: dict
+    # Wraps tt, ff and atoms.
+    atom: Callable
+
+
+_FORMULA = _Syntax(
+    "formula",
+    {
+        "->": (1, "right", Implies),
+        "|": (2, "left", Or),
+        "&": (3, "left", And),
+        "U": (4, "right", Until),
+        "R": (4, "right", Release),
+    },
+    {
+        "!": (_negate, None),
+        "X": (Next, None),
+        "F": (Eventually, None),
+        "G": (Always, None),
+        "Fp": (PromptEventually, None),
+        "[": (Box, "]"),
+        "<": (Diamond, ">"),
+    },
+    lambda node: node,
+)
+
+_GUARD = _Syntax(
+    "guard",
+    {
+        "+": (1, "left", Alt),
+        ";": (2, "left", Concat),
+        "*": (3, "postfix", Star),
+        "|": (4, "left", _lift(Or)),
+        "&": (5, "left", _lift(And)),
+    },
+    {"!": (_lift(_negate), None)},
+    Prop,
+)
+
+_ATOMS = {"ident": Atom, "tt": lambda _: Tt(), "ff": lambda _: Ff()}
+
+# A token that is no operator of the context ends the chain.
+_END = (0, "left", None)
 
 
 class _Parser:
@@ -102,237 +158,80 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def take(self, kind: str | None = None) -> _Token:
-        token = self.tokens[self.index]
-        if kind is not None and token.kind != kind:
-            msg = f"expected {kind!r} but found {token.text or 'end of input'!r} at position {token.pos}"
+    def take(self, kind: str) -> None:
+        found, text, pos = self.tokens[self.index]
+        if found != kind:
+            msg = f"expected {kind!r} but found {text or 'end of input'!r} at position {pos}"
             raise FormulaSyntaxError(msg)
         self.index += 1
-        return token
 
-    # Formula grammar.
-    def formula(self) -> Formula:
-        left = self.or_level()
-        if self.peek().kind == "->":
-            self.take()
-            return Implies(left, self.formula())
-        return left
+    def expression(self, syntax: _Syntax) -> Formula | Guard:
+        """Operands joined by the binary and postfix operators of `syntax`."""
+        values = [self.operand(syntax)]
+        waiting = []
+        while True:
+            level, fixity, build = syntax.binary.get(self.tokens[self.index][0], _END)
+            # Apply the waiting operators that bind at least as tightly;
+            # a right-associative one leaves those of its own level waiting.
+            while waiting and waiting[-1][0] >= level + (fixity == "right"):
+                _, apply = waiting.pop()
+                right = values.pop()
+                values[-1] = apply(values[-1], right)
+            if build is None:
+                return values[0]
+            self.index += 1
+            if fixity == "postfix":
+                values[-1] = build(values[-1])
+            else:
+                waiting.append((level, build))
+                values.append(self.operand(syntax))
 
-    def or_level(self) -> Formula:
-        left = self.and_level()
-        while self.peek().kind == "|":
-            self.take()
-            left = Or(left, self.and_level())
-        return left
-
-    def and_level(self) -> Formula:
-        left = self.until_level()
-        while self.peek().kind == "&":
-            self.take()
-            left = And(left, self.until_level())
-        return left
-
-    def until_level(self) -> Formula:
-        left = self.unary()
-        kind = self.peek().kind
-        if kind == "U":
-            self.take()
-            return Until(left, self.until_level())
-        if kind == "R":
-            self.take()
-            return Release(left, self.until_level())
-        return left
-
-    def unary(self) -> Formula:
-        token = self.peek()
-        if token.kind == "!":
-            self.take()
-            arg = self.unary()
-            if isinstance(arg, Atom):
-                return NegAtom(arg.name)
-            return Not(arg)
-        if token.kind == "X":
-            self.take()
-            return Next(self.unary())
-        if token.kind == "F":
-            self.take()
-            return Eventually(self.unary())
-        if token.kind == "G":
-            self.take()
-            return Always(self.unary())
-        if token.kind == "Fp":
-            self.take()
-            return PromptEventually(self.unary())
-        if token.kind == "<":
-            return self._angle_modality()
-        if token.kind == "[":
-            self.take()
-            guard = self.guard()
-            self.take("]")
-            return Box(guard, self.unary())
-        return self.atom()
-
-    def _angle_modality(self) -> Formula:
-        """Resolve `< ... >` between a diamond and a prompt diamond.
-
-        `<p` opens a prompt diamond, but `p` is also a fine guard atom;
-        the guard reading wins whenever the angle content parses as one,
-        so `<p*> q` is a diamond and `<p tt*> q` a prompt diamond.
-        """
-        self.take("<")
-        mark = self.index
-        try:
-            guard = self.guard()
-            self.take(">")
-            return Diamond(guard, self.unary())
-        except FormulaSyntaxError as first:
-            self.index = mark
-            marker = self.peek()
-            if marker.kind != "ident" or marker.text != "p":
-                raise first from None
-            self.take()
-            try:
-                guard = self.guard()
-                self.take(">")
-            except FormulaSyntaxError:
-                raise first from None
-            return PromptDiamond(guard, self.unary())
-
-    def atom(self) -> Formula:
-        token = self.peek()
-        if token.kind == "tt":
-            self.take()
-            return Tt()
-        if token.kind == "ff":
-            self.take()
-            return Ff()
-        if token.kind == "ident":
-            self.take()
-            return Atom(token.text)
-        if token.kind == "(":
-            self.take()
-            inner = self.formula()
+    def operand(self, syntax: _Syntax) -> Formula | Guard:
+        """A primary under a chain of prefix operators."""
+        builds = []
+        while (entry := syntax.prefix.get(self.tokens[self.index][0])) is not None:
+            build, close = entry
+            self.index += 1
+            if close is not None:
+                if close == ">" and self.tokens[self.index][1] == "p" and (
+                    self.tokens[self.index + 1][0] in _GUARD_START
+                ):
+                    build = PromptDiamond
+                    self.index += 1
+                build = partial(build, self.expression(_GUARD))
+                self.take(close)
+            builds.append(build)
+        kind, text, pos = self.tokens[self.index]
+        self.index += 1
+        if kind in _ATOMS:
+            node = syntax.atom(_ATOMS[kind](text))
+        elif kind == "(":
+            node = self.expression(syntax)
             self.take(")")
-            return inner
-        msg = f"expected a formula but found {token.text or 'end of input'!r} at position {token.pos}"
-        raise FormulaSyntaxError(msg)
-
-    # Guard grammar.  Parenthesized groups may be full guards; the
-    # propositional levels pass such groups upward untouched.
-    def guard(self) -> Guard:
-        left = self.guard_concat()
-        while self.peek().kind == "+":
-            self.take()
-            left = Alt(left, self.guard_concat())
-        return left
-
-    def guard_concat(self) -> Guard:
-        left = self.guard_star()
-        while self.peek().kind == ";":
-            self.take()
-            left = Concat(left, self.guard_star())
-        return left
-
-    def guard_star(self) -> Guard:
-        atom = self.guard_atom()
-        while self.peek().kind == "*":
-            self.take()
-            atom = Star(atom)
-        return atom
-
-    def guard_atom(self) -> Guard:
-        token = self.peek()
-        if token.kind == "{":
-            self.take()
-            inner = self.formula()
+        elif kind == "{" and syntax is _GUARD:
+            node = Test(self.expression(_FORMULA))
             self.take("}")
             self.take("?")
-            return Test(inner)
-        result = self.prop_or()
-        if isinstance(result, _GuardResult):
-            return result.guard
-        return Prop(result)
+        else:
+            msg = f"expected a {syntax.name} but found {text or 'end of input'!r} at position {pos}"
+            raise FormulaSyntaxError(msg)
+        for build in reversed(builds):
+            node = build(node)
+        return node
 
-    def prop_or(self) -> Formula | _GuardResult:
-        left = self.prop_and()
-        if isinstance(left, _GuardResult):
-            if self.peek().kind == "|":
-                self._reject_guard_operand(left)
-            return left
-        while self.peek().kind == "|":
-            self.take()
-            right = self.prop_and()
-            if isinstance(right, _GuardResult):
-                self._reject_guard_operand(right)
-            left = Or(left, right)
-        return left
 
-    def prop_and(self) -> Formula | _GuardResult:
-        left = self.prop_not()
-        if isinstance(left, _GuardResult):
-            if self.peek().kind == "&":
-                self._reject_guard_operand(left)
-            return left
-        while self.peek().kind == "&":
-            self.take()
-            right = self.prop_not()
-            if isinstance(right, _GuardResult):
-                self._reject_guard_operand(right)
-            left = And(left, right)
-        return left
-
-    def prop_not(self) -> Formula | _GuardResult:
-        if self.peek().kind == "!":
-            self.take()
-            arg = self.prop_not()
-            if isinstance(arg, _GuardResult):
-                self._reject_guard_operand(arg)
-            if isinstance(arg, Atom):
-                return NegAtom(arg.name)
-            return Not(arg)
-        return self.prop_primary()
-
-    def prop_primary(self) -> Formula | _GuardResult:
-        token = self.peek()
-        if token.kind == "tt":
-            self.take()
-            return Tt()
-        if token.kind == "ff":
-            self.take()
-            return Ff()
-        if token.kind == "ident":
-            self.take()
-            return Atom(token.text)
-        if token.kind == "(":
-            self.take()
-            inner = self.guard()
-            self.take(")")
-            if isinstance(inner, Prop):
-                return inner.formula
-            return _GuardResult(inner)
-        msg = f"expected a guard but found {token.text or 'end of input'!r} at position {token.pos}"
-        raise FormulaSyntaxError(msg)
-
-    @staticmethod
-    def _reject_guard_operand(result: _GuardResult) -> None:
-        msg = (
-            "guard expression cannot be used as a propositional operand: "
-            f"{result.guard}"
-        )
-        raise FormulaSyntaxError(msg)
+def _parse(text: str, syntax: _Syntax) -> Formula | Guard:
+    parser = _Parser(text)
+    node = parser.expression(syntax)
+    kind, word, pos = parser.tokens[parser.index]
+    if kind != "end":
+        raise FormulaSyntaxError(f"unexpected trailing input {word!r} at position {pos}")
+    return node
 
 
 def parse(text: str, logic: LogicId | None = None) -> Formula:
     """Parse a formula; when a logic is given, enforce its surface."""
-    parser = _Parser(text)
-    phi = parser.formula()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        msg = f"unexpected trailing input {trailing.text!r} at position {trailing.pos}"
-        raise FormulaSyntaxError(msg)
+    phi = _parse(text, _FORMULA)
     if logic is not None:
         require_logic(phi, logic)
     return phi
@@ -340,10 +239,4 @@ def parse(text: str, logic: LogicId | None = None) -> Formula:
 
 def parse_guard(text: str) -> Guard:
     """Parse a guard expression."""
-    parser = _Parser(text)
-    guard = parser.guard()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        msg = f"unexpected trailing input {trailing.text!r} at position {trailing.pos}"
-        raise FormulaSyntaxError(msg)
-    return guard
+    return _parse(text, _GUARD)

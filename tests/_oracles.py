@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from robusttl.apa import APA, AlphabetMismatchError, normalize_colors
+from robusttl.apa import APA, AlphabetMismatchError
 from robusttl.formulas import (
     And,
     Atom,
@@ -811,7 +811,7 @@ def reference_from_rldl(
         builder.delta,
         tuple(builder.colors),
     )
-    return normalize_colors(_prune(apa))
+    return _prune(apa)
 
 
 def _prune(a: APA) -> APA:
@@ -990,4 +990,4 @@ def dpa_minimize(d):
 
 def dpa_complement(d):
     """Every color shifted by one: same structure, complementary language."""
-    return normalize_colors(replace(d, color=tuple(c + 1 for c in d.color)))
+    return replace(d, color=tuple(c + 1 for c in d.color))

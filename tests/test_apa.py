@@ -6,7 +6,6 @@ import pytest
 from _oracles import reference_from_rldl
 
 from robusttl.apa import (
-    APA,
     apa_accepts_lasso,
     apa_complement,
     bits,
@@ -15,7 +14,6 @@ from robusttl.apa import (
     models_and,
     models_dual,
     models_or,
-    normalize_colors,
     weak_components,
 )
 from robusttl.formulas import LogicId, size
@@ -151,23 +149,6 @@ def test_complement_flips_acceptance():
         for _ in range(4):
             w = random_lasso(rng, PQ)
             assert apa_accepts_lasso(apa, w) != apa_accepts_lasso(comp, w)
-
-
-def test_normalize_colors_preserves_language():
-    apa = compile_at("[tt*] p -> <tt*> q", "0011")
-    shifted = APA(
-        apa.props,
-        apa.n_states,
-        apa.initial,
-        apa.delta,
-        tuple(c + 4 for c in apa.color),
-    )
-    norm = normalize_colors(shifted)
-    assert max(norm.color) <= max(shifted.color)
-    rng = make_rng(3)
-    for _ in range(12):
-        w = random_lasso(rng, PQ)
-        assert apa_accepts_lasso(norm, w) == apa_accepts_lasso(apa, w)
 
 
 def test_weak_components_uniform_colors():

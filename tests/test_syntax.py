@@ -2,6 +2,7 @@ import copy
 import gc
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -65,6 +66,17 @@ from robusttl.parser import FormulaSyntaxError, parse, parse_guard
         "<p (q;tt)* + ff> (p & q)",
         "[{p U q}? ; tt*] ff",
         "<p tt*> ff",
+        # `<p` opens a prompt diamond iff the next token can start a guard
+        # operand; each text below has only the one reading.  Diamonds:
+        "<p*> q",
+        "<p ; tt*> q",
+        "<p> q",
+        "<p | q> r",
+        # prompt diamonds:
+        "<p tt*> s",
+        "<p (tt;tt)*> s",
+        "<p !q> r",
+        "<p {q}? ; tt*> r",
     ],
 )
 def test_parse_format_round_trip(text):
@@ -95,12 +107,29 @@ def test_compound_prop_guard_atoms_round_trip():
     assert format_guard(parse_guard(format_guard(g))) == "(!t)*"
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "p &", "(p", "<tt* p", "[tt*]", "p q", "{p?", "Fp", "p +", "<>p"],
-)
+# Each malformed text with its message; positions are those of the
+# token's first character.
+_SYNTAX_ERRORS = {
+    "": "expected a formula but found 'end of input' at position 0",
+    "p &": "expected a formula but found 'end of input' at position 3",
+    "(p": "expected ')' but found 'end of input' at position 2",
+    "<tt* p": "expected '>' but found 'p' at position 5",
+    "[tt*]": "expected a formula but found 'end of input' at position 5",
+    "p q": "unexpected trailing input 'q' at position 2",
+    "{p?": "expected a formula but found '{' at position 0",
+    "Fp": "expected a formula but found 'end of input' at position 2",
+    "p +": "unexpected trailing input '+' at position 2",
+    "<>p": "expected a guard but found '>' at position 1",
+    "p  #": "unexpected character '#' at position 3",
+    # After `<p`, a token that can start a guard opens a prompt diamond.
+    "<p tt* q": "expected '>' but found 'q' at position 7",
+    "<(p ; q) & r> s": "guard expression cannot be used as a propositional operand: p ; q",
+}
+
+
+@pytest.mark.parametrize("text", list(_SYNTAX_ERRORS))
 def test_syntax_errors(text):
-    with pytest.raises(FormulaSyntaxError):
+    with pytest.raises(FormulaSyntaxError, match=f"^{re.escape(_SYNTAX_ERRORS[text])}$"):
         parse(text)
 
 
@@ -378,9 +407,10 @@ def _deep_cases():
             LogicId.RLTL: [f"operator Box not admissible in rltl: [({conj})*] s"],
         },
     }
-    # A 5000-deep formula with an inadmissible operator at its top.
-    chain = [Atom("p")]
-    for _ in range(n - 1):
+    # A 5000-deep formula with an inadmissible operator at its top; the
+    # parser reads `!p` as a negated atom.
+    chain = [NegAtom("p")]
+    for _ in range(n - 2):
         chain.append(Not(chain[-1]))
     nots = "!" * (n - 1) + "p"
     phi = PromptEventually(chain[-1])
@@ -390,7 +420,7 @@ def _deep_cases():
         "guard": GuardTest(phi),
         "guard_text": "{Fp " + nots + "}?",
         "closure": frozenset([*chain, phi]),
-        "size": n + 1,
+        "size": n,
         "props": {"p"},
         "tests": (phi,),
         "length": 1,
@@ -421,3 +451,18 @@ def test_deep_formulas_analyse_and_print_without_recursion():
         for _ in range(5000):
             phi = Not(And(phi, Atom("q")))
         assert is_propositional(phi) is propositional
+
+
+def test_deep_chains_parse_without_recursion():
+    # Prefix chains: X^5000 p and Fp !^4999 p.
+    for case in _deep_cases():
+        if case["text"].startswith(("X ", "Fp ")):
+            assert parse(case["text"]) is case["phi"]
+    # Right-associative binary chains of 5000 operands.
+    for op, build in ((" -> ", Implies), (" U ", Until)):
+        text = op.join(["p"] * 4999 + ["q"])
+        phi = Atom("q")
+        for _ in range(4999):
+            phi = build(Atom("p"), phi)
+        assert parse(text) is phi
+        assert str(phi) == text
