@@ -44,7 +44,7 @@ from .formulas import (
     require_logic,
 )
 from .graphs import explore, sccs
-from .guards import all_letters, letter_of, prop_holds, simple_eps_closure, thompson
+from .guards import all_letters, guard_steps, letter_of
 from .traces import LassoTrace
 from .truth import ALL_VALUES, BOTTOM, TOP, V0001, V0011, V0111, TruthValue4
 
@@ -248,13 +248,13 @@ class _Builder:
     """
 
     def __init__(self, props: tuple[str, ...]):
+        self.props = props
         self.letters = all_letters(props)
         self.keys: list[tuple] = []
         self.ids: dict[tuple, int] = {}
         self.duals: dict[int, int] = {}
         self.deltas: dict[tuple[int, int], tuple[int, ...]] = {}
         self.formula_deltas: dict = {}
-        self.guards: dict = {}
 
     def id_of(self, key: tuple) -> int:
         i = self.ids.get(key)
@@ -283,42 +283,9 @@ class _Builder:
             if isinstance(phi, Not):
                 return _dual(self.root(phi.arg, TOP))
             if isinstance(phi, Diamond):
-                initial = self.guard(phi.guard)[0]
+                initial = guard_steps(phi.guard, self.props)[0]
                 return ("ex", phi.guard, phi.arg, beta, False, initial)
         return ("formula", phi, beta)
-
-    def guard(self, guard: Guard):
-        """The guard automaton's initial state and its steps.
-
-        ``steps[q][li]`` lists, for the epsilon paths from q followed by
-        letter li, pairs (target, tests): the state after the letter, or
-        None where the path ends the match before the letter, with the
-        path's tests sorted by their printed form.
-        """
-        info = self.guards.get(guard)
-        if info is None:
-            nfa = thompson(guard)
-            steps = []
-            for q in range(nfa.n_states):
-                paths = [
-                    (q2, tuple(sorted(tests, key=format_formula)))
-                    for q2, tests in simple_eps_closure(nfa, q)
-                ]
-                per_letter = []
-                for letter in self.letters:
-                    out = []
-                    for q2, tests in paths:
-                        if q2 in nfa.finals:
-                            out.append((None, tests))
-                        out.extend(
-                            (q3, tests)
-                            for f, q3 in nfa.letters[q2]
-                            if prop_holds(letter, f)
-                        )
-                    per_letter.append(out)
-                steps.append(per_letter)
-            info = self.guards[guard] = (nfa.initial, steps)
-        return info
 
     # -- transitions -----------------------------------------------------
 
@@ -410,7 +377,7 @@ class _Builder:
     def _initial_delta(
         self, kind, guard, arg, deg, refuted, li, dual=False
     ) -> tuple[int, ...]:
-        i = self.id_of((kind, guard, arg, deg, refuted, self.guard(guard)[0]))
+        i = self.id_of((kind, guard, arg, deg, refuted, guard_steps(guard, self.props)[0]))
         return self.delta(self.dual_id(i) if dual else i, li)
 
     def _block_delta(self, key: tuple, li: int) -> tuple[int, ...]:
@@ -425,7 +392,7 @@ class _Builder:
         with arg complemented when the block is refuted.
         """
         kind, guard, arg, deg, refuted, q = key
-        paths = self.guard(guard)[1][q][li]
+        paths = guard_steps(guard, self.props)[1][q][li]
 
         def parts(target, tests):
             for theta in tests:

@@ -2,9 +2,11 @@
 
 The Thompson construction yields one automaton per guard with a linear
 number of states; tests sit on states and constrain runs passing through
-them.  Test-free guards additionally support epsilon elimination, subset
-determinization, regex extraction by state elimination, and the
-limit-matching check.
+them.  ``guard_steps`` reads the automaton letter by letter through its
+epsilon paths, tests included; that one table feeds the alternating
+automaton compiler and, for test-free guards, subset determinization,
+which regex extraction by state elimination and the limit-matching check
+build on.
 
 Every automaton of the package reads letters as ints: over the sorted
 propositions P, letter a holds the i-th proposition iff bit i of a is
@@ -33,6 +35,9 @@ from .formulas import (
     Star,
     Test,
     Tt,
+    format_formula,
+    guard_tests,
+    propositions,
 )
 from .graphs import explore, sccs
 
@@ -101,9 +106,6 @@ class GuardNFA:
     eps: tuple[tuple[int, ...], ...]
     letters: tuple[tuple[tuple[Formula, int], ...], ...]
     tests: dict[int, Formula]
-
-    def has_tests(self) -> bool:
-        return bool(self.tests)
 
 
 class _Builder:
@@ -207,30 +209,39 @@ def simple_eps_closure(nfa: GuardNFA, state: int) -> list[tuple[int, frozenset[F
     return out
 
 
-def eps_eliminate_test_free(nfa: GuardNFA) -> GuardNFA:
-    """Remove epsilon edges from a test-free automaton."""
-    if nfa.has_tests():
-        msg = "guard automaton contains tests"
-        raise HasTestsError(msg)
-    letters: list[list[tuple[Formula, int]]] = [[] for _ in range(nfa.n_states)]
-    finals: set[int] = set()
+@functools.lru_cache(maxsize=16)
+def guard_steps(guard: Guard, props: tuple[str, ...]) -> tuple[int, tuple]:
+    """The guard automaton's initial state and its steps, over the sorted
+    props; the one per-letter table of a guard.
+
+    ``steps[q][a]`` lists, for the epsilon paths from q followed by
+    letter a, pairs (target, tests): the state after the letter, or None
+    where the path ends the match before the letter, with the path's
+    tests sorted by their printed form.  Paths come in closure order, and
+    a match end before the letter targets of its closure state.  The
+    compiler asks for the table of the same guard many times, so the
+    last few tables are kept.
+    """
+    nfa = thompson(guard)
+    alphabet = all_letters(props)
+    steps = []
     for q in range(nfa.n_states):
-        seen: set[tuple[Formula, int]] = set()
-        for target, _tests in simple_eps_closure(nfa, q):
-            if target in nfa.finals:
-                finals.add(q)
-            for edge in nfa.letters[target]:
-                if edge not in seen:
-                    seen.add(edge)
-                    letters[q].append(edge)
-    return GuardNFA(
-        n_states=nfa.n_states,
-        initial=nfa.initial,
-        finals=frozenset(finals),
-        eps=tuple(() for _ in range(nfa.n_states)),
-        letters=tuple(tuple(edges) for edges in letters),
-        tests={},
-    )
+        paths = [
+            (q2, tuple(sorted(tests, key=format_formula)))
+            for q2, tests in simple_eps_closure(nfa, q)
+        ]
+        per_letter = []
+        for letter in alphabet:
+            out = []
+            for q2, tests in paths:
+                if q2 in nfa.finals:
+                    out.append((None, tests))
+                out.extend(
+                    (q3, tests) for f, q3 in nfa.letters[q2] if prop_holds(letter, f)
+                )
+            per_letter.append(tuple(out))
+        steps.append(tuple(per_letter))
+    return nfa.initial, tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -268,32 +279,33 @@ def dfa_product(d1: GuardDFA, d2: GuardDFA) -> GuardDFA:
     )
 
 
-def determinize(nfa: GuardNFA, props) -> GuardDFA:
-    """Subset construction for a test-free guard automaton."""
-    if nfa.has_tests():
-        msg = "guard automaton contains tests"
+def determinize(guard: Guard, props) -> GuardDFA:
+    """Subset construction for a test-free guard over its step table.
+
+    A subset's successor on a letter holds its states' targets.  A
+    subset is final when one of its states can end a match, which does
+    not depend on the letter.
+    """
+    if guard_tests(guard):
+        msg = "guard contains tests"
         raise HasTestsError(msg)
-    flat = nfa if all(not e for e in nfa.eps) else eps_eliminate_test_free(nfa)
-    alphabet = all_letters(props)
+    props = tuple(sorted(props))
+    initial, steps = guard_steps(guard, props)
+    letters = range(1 << len(props))
 
     def successors(subset):
-        for letter in alphabet:
-            yield frozenset(
-                t
-                for q in subset
-                for formula, t in flat.letters[q]
-                if prop_holds(letter, formula)
-            )
+        for a in letters:
+            yield frozenset(t for q in subset for t, _ in steps[q][a] if t is not None)
 
-    order, _, rows = explore([frozenset({flat.initial})], successors)
+    order, _, rows = explore([frozenset({initial})], successors)
     finals = frozenset(
-        i for i, s in enumerate(order) if any(q in flat.finals for q in s)
+        i for i, s in enumerate(order) if any(t is None for q in s for t, _ in steps[q][0])
     )
     return GuardDFA(
         n_states=len(order),
         initial=0,
         finals=finals,
-        props=tuple(sorted(props)),
+        props=props,
         transitions=tuple(rows),
     )
 
@@ -390,23 +402,17 @@ def extract_regex(dfa: GuardDFA, source: int, targets) -> Guard:
     return result
 
 
-def is_limit_matching(guard: Guard, props=None) -> bool:
+def is_limit_matching(guard: Guard) -> bool:
     """True when every trace has infinitely many prefixes matching the guard.
 
     Decided on the determinized guard automaton read with Buechi
     acceptance on its final states: the guard is limit-matching exactly
     when no cycle avoids the final states, that is when every component
     of the non-final states is one state without a self-loop.  Every
-    state of the automaton is reachable.
+    state of the automaton is reachable.  A guard with tests raises
+    ``HasTestsError``.
     """
-    from .formulas import guard_tests, propositions
-
-    if guard_tests(guard):
-        msg = "limit-matching is defined for test-free guards only"
-        raise HasTestsError(msg)
-    if props is None:
-        props = sorted(propositions(guard))
-    dfa = determinize(thompson(guard), props)
+    dfa = determinize(guard, propositions(guard))
     succ = {
         q: set(row) - dfa.finals
         for q, row in enumerate(dfa.transitions)

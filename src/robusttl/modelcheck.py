@@ -33,7 +33,7 @@ from .formulas import (
     rewrite,
 )
 from .graphs import read_graph_text
-from .guards import determinize, dfa_product, extract_regex, letter_of, thompson
+from .guards import determinize, dfa_product, extract_regex, letter_of
 from .semantics import eval_rldl
 from .traces import LassoTrace
 from .truth import BOTTOM, TOP, TruthValue4
@@ -261,12 +261,12 @@ def _window_guard(guard: Guard, color_prop: str) -> Guard:
     """Intersect a test-free guard with 'at most one color change'."""
     from .formulas import Alt, Concat
 
-    props = sorted(propositions(guard) | {color_prop})
+    props = propositions(guard) | {color_prop}
     c = Prop(Atom(color_prop))
     nc = Prop(NegAtom(color_prop))
     pattern = Alt(Concat(Star(c), Star(nc)), Concat(Star(nc), Star(c)))
-    d1 = determinize(thompson(guard), props)
-    d2 = determinize(thompson(pattern), props)
+    d1 = determinize(guard, props)
+    d2 = determinize(pattern, props)
     product = dfa_product(d1, d2)
     return extract_regex(product, product.initial, product.finals)
 

@@ -533,18 +533,19 @@ def nba_to_dpa(nba: NBA) -> DPA:
 
 def _dba_to_dpa(nba: NBA) -> DPA:
     """A deterministic Buechi automaton as a max-parity automaton; a
-    letter without a successor leads to a rejecting sink."""
+    letter without a successor leads to a rejecting sink.  States, the
+    sink among them, are numbered as first named from the initial one."""
     letters = range(1 << len(nba.props))
     sink = nba.n_states
-    rows = [
-        tuple([(nba.transitions[(q, a)] or (sink,))[0] for a in letters])
-        for q in range(nba.n_states)
-    ]
-    color = [2 if q in nba.accepting else 1 for q in range(nba.n_states)]
-    if any(sink in row for row in rows):
-        rows.append((sink,) * len(letters))
-        color.append(1)
-    return _minimize(nba.props, rows, color, nba.initial)
+
+    def successors(q):
+        if q == sink:
+            return (sink,) * len(letters)
+        return [(nba.transitions[(q, a)] or (sink,))[0] for a in letters]
+
+    order, _, rows = explore([nba.initial], successors)
+    color = [2 if q in nba.accepting else 1 for q in order]
+    return _minimize(nba.props, rows, color, 0)
 
 
 def _minimize(props, rows: list, color: list, initial: int) -> DPA:

@@ -39,7 +39,7 @@ from .formulas import (
     rewrite,
     walk,
 )
-from .guards import determinize, extract_regex, is_limit_matching, thompson
+from .guards import determinize, extract_regex, is_limit_matching
 from .truth import BOTTOM, TOP, TruthValue4, V0011, V0111
 
 
@@ -163,7 +163,7 @@ def _split_guard(guard: Guard):
     which are reachable: the prefix language leads from the start to q,
     the completion language from q to the final states.
     """
-    dfa = determinize(thompson(guard), sorted(propositions(guard)))
+    dfa = determinize(guard, propositions(guard))
     return [
         (extract_regex(dfa, dfa.initial, {q}), extract_regex(dfa, q, dfa.finals))
         for q in range(dfa.n_states)

@@ -42,6 +42,11 @@ changes_infinitely is the LDL formula "the color proposition changes
 infinitely often"; compiled in a conjunction with a relaxed prompt
 objective, it is the reference for ``omega.dpa_with_changes``.
 
+thompson_close and thompson_step run a Thompson guard automaton
+directly on sets of its states: the epsilon closure, and one letter
+followed by the closure.  A word is matched when the set it ends in
+holds a final state.
+
 reference_from_rldl is the eager alternating-automaton compiler: every
 subformula and guard block gets states over every letter, a complement
 is a copied dual of everything its state reaches, and a final pass
@@ -81,6 +86,25 @@ from robusttl.formulas import (
 from robusttl.guards import all_letters, letter_of, prop_holds, simple_eps_closure, thompson
 from robusttl.omega import DPA, _minimize, _quotient
 from robusttl.truth import ALL_VALUES, BOTTOM, TOP, TruthValue4
+
+
+def thompson_close(nfa, states) -> frozenset:
+    """The states of nfa reachable from states by epsilon edges."""
+    out = set(states)
+    stack = list(states)
+    while stack:
+        for t in nfa.eps[stack.pop()]:
+            if t not in out:
+                out.add(t)
+                stack.append(t)
+    return frozenset(out)
+
+
+def thompson_step(nfa, states, letter: frozenset) -> frozenset:
+    """The closed set of states after reading letter from states."""
+    return thompson_close(
+        nfa, {t for q in states for f, t in nfa.letters[q] if prop_holds(letter, f)}
+    )
 
 
 def _reachable(edges, start):

@@ -4,7 +4,7 @@ from robusttl.formulas import Box, Diamond, LogicId, closure, guard_tests, propo
 from robusttl.games import _color_game, reduce_game
 from robusttl.gen import make_rng, random_labeled_game
 from robusttl.graphs import explore, least_priorities, sccs
-from robusttl.guards import determinize, dfa_product, thompson
+from robusttl.guards import determinize, dfa_product
 from robusttl.omega import dpa_with_changes, rldl_to_dpa, rldl_to_nba
 from robusttl.parser import parse
 from robusttl.truth import POSITIVE_VALUES
@@ -141,14 +141,19 @@ def _numbered_as_first_named(rows) -> bool:
 
 
 # Formulas of the benchmark's compile pool, over two propositions.  The
-# parity automata of these come from the compact-tree construction;
-# those read off a deterministic Buechi automaton keep its numbers and
-# add their rejecting sink last.
+# parity automata of the first four come from the compact-tree
+# construction.  Those of the next three are read off a deterministic
+# Buechi automaton at every threshold, and the last takes each path at
+# some threshold.
 _POOL = (
     "!(([(((!(x)))*)] (<((w))> !(!x))))",
     "!(([(((s) + ((s))*))] ([(((!o & s)))] (<((o))> s))))",
     "(<(((j) ; ((!(j)))*))> (([(((tt | !m)))] j) & ([((m))] !m)))",
     "([((((({(k | k)}?)* + (!k)) + ((tt | w))))*)] (<(((!(!w)) ; (!(!w))))> (!w | k)))",
+    "(([((o))] x) -> x)",
+    "!(([(((((!k & !k)) ; ((!w | k))) ; {(!w -> w)}?))] !(([((k))] w))))",
+    "(<((((!a & !x)) ; (!(ff))))> (<(((!a & tt)))> x))",
+    "([(((!u))*)] (!b -> (!b & u)))",
 )
 
 
@@ -175,7 +180,7 @@ def test_built_automata_and_games_are_numbered_as_first_named(text):
         game, _ = _color_game(graph, changes, "c", 0)
         assert _numbered_as_first_named([game.edges[v] for v in game.vertices])
     guards = [f.guard for f in closure(phi) if isinstance(f, (Box, Diamond))]
-    dfas = [determinize(thompson(g), props) for g in guards if not guard_tests(g)]
+    dfas = [determinize(g, props) for g in guards if not guard_tests(g)]
     assert dfas
     for d1 in dfas:
         for dfa in (d1, *(dfa_product(d1, d2) for d2 in dfas)):

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from _oracles import thompson_close, thompson_step
 
 from robusttl.formulas import Atom, Concat, Ff, Prop, Star, guard_length
 from robusttl.gen import make_rng, random_guard, random_lasso
@@ -92,12 +93,12 @@ def test_thompson_gives_each_occurrence_states_without_recursion():
 
 def test_determinize_rejects_tests():
     with pytest.raises(HasTestsError):
-        determinize(thompson(parse_guard("{p}? ; tt")), ("p",))
+        determinize(parse_guard("{p}? ; tt"), ("p",))
 
 
 def test_determinize_language():
     guard = parse_guard("(p ; q)*")
-    dfa = determinize(thompson(guard), ("p", "q"))
+    dfa = determinize(guard, ("p", "q"))
     p, q = frozenset({"p"}), frozenset({"q"})
     assert dfa_accepts(dfa, ())
     assert dfa_accepts(dfa, (p, q))
@@ -106,9 +107,32 @@ def test_determinize_language():
     assert not dfa_accepts(dfa, (q, p))
 
 
+@pytest.mark.parametrize("props", [("p", "q"), ("p", "q", "r")])
+def test_determinize_agrees_with_thompson_simulation(props):
+    # Every word of length 0-5 ends the simulation of the Thompson
+    # automaton in a final state exactly when it ends the DFA in a final
+    # state.  The pair of the two ends decides every longer word, so the
+    # words are walked one letter at a time with one entry per pair.
+    rng = make_rng(41 + len(props))
+    alphabet = all_letters(props)
+    for _ in range(300):
+        guard = random_guard(rng, props, rng.randint(1, 6), allow_tests=False)
+        nfa = thompson(guard)
+        dfa = determinize(guard, props)
+        layer = {(thompson_close(nfa, {nfa.initial}), dfa.initial)}
+        for length in range(6):
+            for states, q in layer:
+                assert bool(states & nfa.finals) == (q in dfa.finals), (guard, length)
+            layer = {
+                (thompson_step(nfa, states, letter), dfa.transitions[q][a])
+                for states, q in layer
+                for a, letter in enumerate(alphabet)
+            }
+
+
 def test_dfa_product_intersects():
-    d1 = determinize(thompson(parse_guard("p*")), ("p", "q"))
-    d2 = determinize(thompson(parse_guard("(p;p)*")), ("p", "q"))
+    d1 = determinize(parse_guard("p*"), ("p", "q"))
+    d2 = determinize(parse_guard("(p;p)*"), ("p", "q"))
     prod = dfa_product(d1, d2)
     p = frozenset({"p"})
     assert dfa_accepts(prod, ())
@@ -120,17 +144,17 @@ def test_extract_regex_round_trips_language():
     rng = make_rng(13)
     for _ in range(40):
         guard = random_guard(rng, ("p", "q"), rng.randint(1, 5), allow_tests=False)
-        dfa = determinize(thompson(guard), ("p", "q"))
+        dfa = determinize(guard, ("p", "q"))
         back = extract_regex(dfa, dfa.initial, dfa.finals)
-        dfa2 = determinize(thompson(back), ("p", "q"))
+        dfa2 = determinize(back, ("p", "q"))
         for word in words_up_to(("p", "q"), 3):
             assert dfa_accepts(dfa, word) == dfa_accepts(dfa2, word)
 
 
 def test_extract_regex_empty_language():
-    dfa = determinize(thompson(parse_guard("ff")), ("p",))
+    dfa = determinize(parse_guard("ff"), ("p",))
     back = extract_regex(dfa, dfa.initial, dfa.finals)
-    dfa2 = determinize(thompson(back), ("p",))
+    dfa2 = determinize(back, ("p",))
     for word in words_up_to(("p",), 3):
         assert not dfa_accepts(dfa2, word)
 
@@ -163,7 +187,7 @@ def test_limit_matching_agrees_with_match_sets():
     rng = make_rng(29)
     for _ in range(30):
         guard = random_guard(rng, ("p", "q"), rng.randint(1, 5), allow_tests=False)
-        matching = is_limit_matching(guard, ("p", "q"))
+        matching = is_limit_matching(guard)
         for _ in range(5):
             w = random_lasso(rng, ("p", "q"))
             infinite = bool(match_set(w, guard, 1).infinite_classes)

@@ -1,12 +1,13 @@
 import time
 
 import pytest
+from _oracles import thompson_close, thompson_step
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robusttl.formulas import PROMPT_LOGICS, LogicId
 from robusttl.gen import make_rng, random_formula, random_guard, random_lasso
-from robusttl.guards import prop_holds, thompson
+from robusttl.guards import thompson
 from robusttl.parser import parse, parse_guard
 from robusttl.semantics import (
     MissingBoundError,
@@ -232,25 +233,13 @@ def _recurring_matches(w, nfa, c):
     """Classes where a test-free guard matches infinitely often from c:
     run the subset automaton over the unrolled word until its
     configuration repeats, then take the matches on the cycle."""
-
-    def close(states):
-        out = set(states)
-        stack = list(states)
-        while stack:
-            for t in nfa.eps[stack.pop()]:
-                if t not in out:
-                    out.add(t)
-                    stack.append(t)
-        return frozenset(out)
-
     first: dict = {}
     history = []
-    states = close({nfa.initial})
+    states = thompson_close(nfa, {nfa.initial})
     while (states, c) not in first:
         first[(states, c)] = len(history)
         history.append((states, c))
-        letter = w.letter_at(c)
-        states = close({t for q in states for f, t in nfa.letters[q] if prop_holds(letter, f)})
+        states = thompson_step(nfa, states, w.letter_at(c))
         c = w.canonical_index(c + 1)
     return frozenset(cls for s, cls in history[first[(states, c)]:] if s & nfa.finals)
 
