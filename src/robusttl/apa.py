@@ -14,12 +14,13 @@ at least that threshold.  All compiled automata are weak: every
 strongly connected component of the state graph carries a single color.
 
 The compiler works on demand (the on-the-fly principle of Gerth, Peled,
-Vardi and Wolper): a breadth-first walk from the initial state asks for
-the transitions of the states it reaches, and only those are computed.
-Apart from the initial state, a state is a key naming a guard-automaton
-state of a guard block, and the complement of a state is the key's
-dual, so no state is copied and none is built that the walk does not
-reach.
+Vardi and Wolper): ``OnDemandAPA`` computes a transition only when it is
+asked for.  ``from_rldl`` asks for every letter of every state that a
+breadth-first walk from the initial state reaches; model checking asks
+only for what its product with the system reaches.  Apart from the
+initial state, a state is a key naming a guard-automaton state of a
+guard block, and the complement of a state is the key's dual, so no
+state is copied and none is built that the walk does not reach.
 """
 from __future__ import annotations
 
@@ -63,6 +64,8 @@ def bits(mask: int):
 
 def _minimal(masks) -> list:
     """The subset-minimal masks among masks (a set or duplicate-free)."""
+    if len(masks) < 2:
+        return list(masks)
     kept: list = []
     for x in sorted(masks, key=int.bit_count):
         if all(y & x != y for y in kept):
@@ -78,10 +81,7 @@ def extend(partial: list, options) -> list:
             return partial
         if len(partial) == 1:
             return [partial[0] | m]
-    grown = {p | m for p in partial for m in options}
-    if len(grown) == 1:
-        return list(grown)
-    return _minimal(grown)
+    return _minimal({p | m for p in partial for m in options})
 
 
 def models_and(parts) -> tuple[int, ...]:
@@ -236,52 +236,70 @@ def _dual(key: tuple) -> tuple:
     return key[1] if key[0] == "dual" else ("dual", key)
 
 
-class _Builder:
-    """On-demand compiler of one formula over one alphabet.
+class OnDemandAPA:
+    """The automaton of phi at beta over props, built as it is asked for.
 
-    States are keys (see _KIND_COLOR), numbered provisionally in the order
-    they are first mentioned.  A transition is computed when asked for,
-    once per (state, letter); the transition of a formula is computed
-    once per (formula, threshold, letter, dual) and inlined wherever the
-    formula occurs.  Conjunctions and disjunctions take their parts from
+    Its face is ``props``, ``initial``, ``delta(q, letter)`` (the minimal
+    models of a transition), ``color(q)`` and ``dual(q)``.  States are
+    keys (see _KIND_COLOR), numbered in the order they are first
+    mentioned.  A transition is computed when asked for, once per
+    (state, letter); the transition of a formula is computed once per
+    (formula, threshold, letter, dual) and inlined wherever the formula
+    occurs.  Conjunctions and disjunctions take their parts from
     generators, so the parts after a deciding one are never built.
+
+    The complement is the same automaton rooted at ``dual(initial)``: a
+    dual state's transition is the dual of its key's, so only the duals
+    that are asked for are computed.  A dual is one color above its key,
+    so the dual of a dual state sits one color below the complement's
+    coloring; the parity, all that dealternation reads, is the same.
     """
 
-    def __init__(self, props: tuple[str, ...]):
-        self.props = props
-        self.letters = all_letters(props)
-        self.keys: list[tuple] = []
-        self.ids: dict[tuple, int] = {}
-        self.duals: dict[int, int] = {}
-        self.deltas: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.formula_deltas: dict = {}
+    def __init__(self, phi: Formula, beta: TruthValue4, props=None):
+        require_logic(phi, LogicId.RLDL)
+        names = set(propositions(phi))
+        if props is not None:
+            extra = set(props)
+            if not names <= extra:
+                msg = "props must cover the propositions of the formula"
+                raise AlphabetMismatchError(msg)
+            names = extra
+        self.props = tuple(sorted(names))
+        self._letters = all_letters(self.props)
+        self._keys: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        self._duals: dict[int, int] = {}
+        self._deltas: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._formula_deltas: dict = {}
+        self.initial = self._id_of(self._root(phi, beta))
 
-    def id_of(self, key: tuple) -> int:
-        i = self.ids.get(key)
+    def _id_of(self, key: tuple) -> int:
+        i = self._ids.get(key)
         if i is None:
-            i = self.ids[key] = len(self.keys)
-            self.keys.append(key)
+            i = self._ids[key] = len(self._keys)
+            self._keys.append(key)
         return i
 
-    def dual_id(self, i: int) -> int:
-        d = self.duals.get(i)
+    def dual(self, i: int) -> int:
+        """The state that accepts what state i rejects."""
+        d = self._duals.get(i)
         if d is None:
-            d = self.id_of(_dual(self.keys[i]))
-            self.duals[i] = d
-            self.duals[d] = i
+            d = self._id_of(_dual(self._keys[i]))
+            self._duals[i] = d
+            self._duals[d] = i
         return d
 
     def color(self, i: int) -> int:
-        key = self.keys[i]
+        key = self._keys[i]
         if key[0] == "dual":
             return _KIND_COLOR[key[1][0]] + 1
         return _KIND_COLOR[key[0]]
 
-    def root(self, phi: Formula, beta: TruthValue4) -> tuple:
+    def _root(self, phi: Formula, beta: TruthValue4) -> tuple:
         """Key of the initial state of phi at beta."""
         if beta != BOTTOM:
             if isinstance(phi, Not):
-                return _dual(self.root(phi.arg, TOP))
+                return _dual(self._root(phi.arg, TOP))
             if isinstance(phi, Diamond):
                 initial = guard_steps(phi.guard, self.props)[0]
                 return ("ex", phi.guard, phi.arg, beta, False, initial)
@@ -290,47 +308,47 @@ class _Builder:
     # -- transitions -----------------------------------------------------
 
     def delta(self, i: int, li: int) -> tuple[int, ...]:
-        """Transition of provisional state i at letter index li."""
-        models = self.deltas.get((i, li))
+        """Minimal models of state i's transition on letter li."""
+        models = self._deltas.get((i, li))
         if models is None:
-            key = self.keys[i]
+            key = self._keys[i]
             kind = key[0]
             if kind == "dual":
-                models = models_dual(self.delta(self.dual_id(i), li), self.dual_id)
+                models = models_dual(self.delta(self.dual(i), li), self.dual)
             elif kind == "formula":
-                models = self.formula_delta(key[1], key[2], li)
+                models = self._formula_delta(key[1], key[2], li)
             else:
                 models = self._block_delta(key, li)
-            self.deltas[(i, li)] = models
+            self._deltas[(i, li)] = models
         return models
 
-    def formula_delta(
+    def _formula_delta(
         self, phi: Formula, beta: TruthValue4, li: int, dual: bool = False
     ) -> tuple[int, ...]:
         """Transition of phi at beta (of its complement when dual)."""
         memo = (phi, beta, li, dual)
-        models = self.formula_deltas.get(memo)
+        models = self._formula_deltas.get(memo)
         if models is None:
             if dual:
-                models = models_dual(self.formula_delta(phi, beta, li), self.dual_id)
+                models = models_dual(self._formula_delta(phi, beta, li), self.dual)
             else:
-                models = self._formula_delta(phi, beta, li)
-            self.formula_deltas[memo] = models
+                models = self._compile(phi, beta, li)
+            self._formula_deltas[memo] = models
         return models
 
-    def _formula_delta(self, phi: Formula, beta: TruthValue4, li: int) -> tuple[int, ...]:
+    def _compile(self, phi: Formula, beta: TruthValue4, li: int) -> tuple[int, ...]:
         if beta == BOTTOM or isinstance(phi, Tt):
             return _TRUE
         if isinstance(phi, Ff):
             return _FALSE
         if isinstance(phi, (Atom, NegAtom)):
-            holds = (phi.name in self.letters[li]) != isinstance(phi, NegAtom)
+            holds = (phi.name in self._letters[li]) != isinstance(phi, NegAtom)
             return _TRUE if holds else _FALSE
         if isinstance(phi, Not):
-            return self.formula_delta(phi.arg, TOP, li, dual=True)
+            return self._formula_delta(phi.arg, TOP, li, dual=True)
         if isinstance(phi, (And, Or)):
             smash = models_and if isinstance(phi, And) else models_or
-            return smash(self.formula_delta(f, beta, li) for f in (phi.left, phi.right))
+            return smash(self._formula_delta(f, beta, li) for f in (phi.left, phi.right))
         if isinstance(phi, Implies):
             return models_or(self._implies(phi.left, phi.right, beta, li))
         if isinstance(phi, Diamond):
@@ -351,13 +369,13 @@ class _Builder:
 
         def same_level(idx: int, gamma: TruthValue4):
             if gamma != BOTTOM:
-                yield self.formula_delta(left, gamma, li)
+                yield self._formula_delta(left, gamma, li)
             if idx + 1 < len(ALL_VALUES):
-                yield self.formula_delta(left, ALL_VALUES[idx + 1], li, dual=True)
+                yield self._formula_delta(left, ALL_VALUES[idx + 1], li, dual=True)
             if gamma != BOTTOM:
-                yield self.formula_delta(right, gamma, li)
+                yield self._formula_delta(right, gamma, li)
 
-        yield self.formula_delta(right, beta, li)
+        yield self._formula_delta(right, beta, li)
         for idx, gamma in enumerate(ALL_VALUES):
             yield models_and(same_level(idx, gamma))
 
@@ -377,8 +395,8 @@ class _Builder:
     def _initial_delta(
         self, kind, guard, arg, deg, refuted, li, dual=False
     ) -> tuple[int, ...]:
-        i = self.id_of((kind, guard, arg, deg, refuted, guard_steps(guard, self.props)[0]))
-        return self.delta(self.dual_id(i) if dual else i, li)
+        i = self._id_of((kind, guard, arg, deg, refuted, guard_steps(guard, self.props)[0]))
+        return self.delta(self.dual(i) if dual else i, li)
 
     def _block_delta(self, key: tuple, li: int) -> tuple[int, ...]:
         """Transition of a guard-block state.
@@ -396,13 +414,13 @@ class _Builder:
 
         def parts(target, tests):
             for theta in tests:
-                yield self.formula_delta(theta, deg, li, dual=kind == "all")
+                yield self._formula_delta(theta, deg, li, dual=kind == "all")
             if target is None:
-                yield self.formula_delta(arg, deg, li, dual=refuted)
+                yield self._formula_delta(arg, deg, li, dual=refuted)
             else:
-                yield (1 << self.id_of((kind, guard, arg, deg, refuted, target)),)
+                yield (1 << self._id_of((kind, guard, arg, deg, refuted, target)),)
                 if kind == "main":
-                    yield (1 << self.id_of(("check", guard, arg, deg, refuted, target)),)
+                    yield (1 << self._id_of(("check", guard, arg, deg, refuted, target)),)
 
         if kind == "all":
             return models_and(models_or(parts(*path)) for path in paths)
@@ -427,35 +445,26 @@ def from_rldl(
     and the states of each transition's models, letter by letter and in
     provisional order, get the next free numbers.
     """
-    require_logic(phi, LogicId.RLDL)
-    names = set(propositions(phi))
-    if props is not None:
-        extra = set(props)
-        if not names <= extra:
-            msg = "props must cover the propositions of the formula"
-            raise AlphabetMismatchError(msg)
-        names = extra
-    prop_tuple = tuple(sorted(names))
-    builder = _Builder(prop_tuple)
-    letters = range(len(builder.letters))
+    auto = OnDemandAPA(phi, beta, props)
+    letters = range(1 << len(auto.props))
 
     def successors(i):
         for li in letters:
             union = 0
-            for m in builder.delta(i, li):
+            for m in auto.delta(i, li):
                 union |= m
             yield from bits(union)
 
-    order, number, _ = explore([builder.id_of(builder.root(phi, beta))], successors)
+    order, number, _ = explore([auto.initial], successors)
     delta = {
         (q, li): tuple(sorted(
-            [sum(1 << number[t] for t in bits(m)) for m in builder.deltas[(i, li)]]
+            [sum(1 << number[t] for t in bits(m)) for m in auto.delta(i, li)]
         ))
         for q, i in enumerate(order)
         for li in letters
     }
-    color = tuple(builder.color(i) for i in order)
-    return APA(prop_tuple, len(order), 0, delta, color)
+    color = tuple(auto.color(i) for i in order)
+    return APA(auto.props, len(order), 0, delta, color)
 
 
 def weak_components(a: APA):

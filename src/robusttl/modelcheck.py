@@ -1,10 +1,13 @@
 """Model checking of finite transition systems.
 
-Thresholded checks compile the negated property to an automaton over
-the formula's own propositions and search its product with the system
-for an accepting lasso.  Prompt checks solve a recoloring game where the
-verifier picks only the fresh color, over the relaxed property's parity
-automaton with "the color changes infinitely often" added as a product.
+Thresholded checks search the product of the system with an automaton
+for the negated property, over the formula's own propositions, for an
+accepting lasso.  The automaton is built on the fly, as far as the
+product reaches it: its alternating transitions, their duals and its
+breakpoint pairs only for the system labels met.  Prompt checks solve a
+recoloring game where the verifier picks only the fresh color, over the
+relaxed property's parity automaton with "the color changes infinitely
+often" added as a product.
 """
 from __future__ import annotations
 
@@ -186,39 +189,45 @@ def shrink_lasso(trace: LassoTrace) -> LassoTrace:
 def mc_rldl(ts: TransitionSystem, phi: Formula, beta: TruthValue4) -> McResult:
     """Do all traces of the system reach the threshold?
 
-    Compiles the complement at the threshold over the formula's own
-    propositions and searches its product with the system, from the
-    initial pair only, for an accepting cycle.  A product node pairs a
-    system state with an automaton state, which reads the system label
-    projected onto the formula's propositions; every system state
-    accepts, so a node accepts when its automaton state does.  The
+    Searches the product of the system with the Buechi automaton of the
+    complement, on the fly (Courcoubetis, Vardi, Wolper and Yannakakis,
+    1992): the complement is the formula's alternating automaton at the
+    threshold, over the formula's own propositions, rooted at the dual
+    of its initial state, and dealternated by ``Breakpoint`` one (pair,
+    letter) at a time.  A product node pairs a system state with a pair,
+    which reads the system label projected onto the formula's
+    propositions, so only the alternating transitions and the pairs that
+    the product reaches from the initial node are built.  Every system
+    state accepts, so a node accepts when its pair does.  After the
+    search the transitions built are checked to be weak.  The
     counterexample keeps the full system labels and is checked against
     the automaton, the oracle and the system before it is returned.
     """
-    from .apa import apa_complement, from_rldl
-    from .omega import apa_to_nba, lasso_search, nba_accepts_lasso
+    from .apa import OnDemandAPA
+    from .omega import Breakpoint, lasso_search
 
     require_logic(phi, LogicId.RLDL)
     ts.validate()
     if beta == BOTTOM:
         return McResult(True)
-    props = tuple(sorted(propositions(phi)))
-    bad = apa_to_nba(apa_complement(from_rldl(phi, beta, props)))
-    letter = {s: letter_of(props, ts.labels[s]) for s in ts.states}
+    good = OnDemandAPA(phi, beta)
+    bad = Breakpoint(good.props, good.delta, good.color, good.dual(good.initial))
+    letter = {s: letter_of(good.props, ts.labels[s]) for s in ts.states}
 
     def successors(node):
-        s, q = node
-        targets = bad.transitions[(q, letter[s])]
-        return [(ts.labels[s], (t, q2)) for t in ts.edges[s] for q2 in targets]
+        s, pair = node
+        targets = bad.step(pair, letter[s])
+        return [(ts.labels[s], (t, p2)) for t in ts.edges[s] for p2 in targets]
 
     witness = lasso_search(
         (ts.initial, bad.initial),
         successors,
-        lambda node: node[1] in bad.accepting,
+        lambda node: bad.accepting(node[1]),
     )
+    bad.check_weak()
     if witness is None:
         return McResult(True)
-    if not nba_accepts_lasso(bad, witness.project(props)):
+    if not bad.accepts_lasso(witness.project(good.props)):
         msg = "internal error: emptiness witness rejected"
         raise AssertionError(msg)
     witness = shrink_lasso(witness)

@@ -14,7 +14,10 @@ often on every path).  Its states are (slice, owing) pairs held as
 bitmasks over automaton states.  Successors are built by a fold over the
 slice that keeps only the subset-minimal pairs, an antichain in the sense
 of De Wulf, Doyen, Henzinger and Raskin: a pair containing another
-accepts a subset of its language, so it adds nothing.
+accepts a subset of its language, so it adds nothing.  ``Breakpoint``
+builds them once per (pair, letter) as they are asked for: model
+checking asks only for the letters its product with the system reaches,
+and ``apa_to_nba`` asks for every letter of every reachable pair.
 
 Before determinization the NBA is reduced by direct simulation (Etessami
 and Holzmann; Somenzi and Bloem): mutually similar states are merged and
@@ -29,11 +32,12 @@ lets more states merge.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .apa import APA, AlphabetMismatchError, bits, extend, is_weak
+from .apa import APA, AlphabetMismatchError, bits, extend
 from .formulas import Formula, LogicId, require_logic
 from .graphs import explore, least_priorities, sccs
 from .guards import all_letters, letter_of
@@ -72,81 +76,171 @@ class DPA:
         return range(self.n_states)
 
 
+@functools.lru_cache(maxsize=1024)
+def _spread(mask: int) -> int:
+    """Bit q of mask moved to bit 2q: "101" -> "10001"."""
+    return int("0".join(format(mask, "b")), 2)
+
+
+class Breakpoint:
+    """Breakpoint dealternation of a weak alternating automaton, on demand.
+
+    ``delta(q, letter)`` gives the minimal models of state q's transition
+    as bitmasks over states, and ``color(q)`` its color, of which only
+    the parity is read.  A state of the Buechi automaton is a pair
+    (slice, owing): the slice is the set of active automaton states, and
+    owing tracks states whose run path has stayed odd-colored since the
+    last breakpoint; the accepting pairs are the breakpoints, where
+    nothing is owed.  A pair is one int in which state q holds bit 2q
+    when active and bit 2q + 1 when owed, so that the pointwise subset
+    order on pairs is the subset order on ints however many states are
+    met later.
+
+    ``step(pair, letter)`` gives the successors of a pair, computed once
+    per (pair, letter) by a fold over the slice, one state at a time:
+    each partial pair is extended by every minimal model of that state's
+    transition, and only the subset-minimal partial pairs are kept.
+    Union preserves the order, so the fold yields exactly the minimal
+    pairs among all choices of one model per state, and a pair that
+    contains another accepts a subset of its language, so dropping it
+    keeps the language.  The successors are sorted by owing, then slice.
+
+    The construction is sound when every strongly connected component of
+    the automaton has states of one parity: every run path then
+    stabilizes in one component, and acceptance reduces to visiting odd
+    states finitely often on every path.  ``check_weak`` checks that on
+    the transitions asked for so far.
+    """
+
+    def __init__(self, props: tuple[str, ...], delta, color, initial: int):
+        self.props = props
+        self._delta = delta
+        self._color = color
+        self.initial = 1 << 2 * initial
+        self._steps: dict = {}  # (pair, letter) -> successor pairs
+        self._options: dict = {}  # (state, letter) -> models, owed models
+        self._met = 0  # bit 2q for every state q met
+        self._odd = 0  # bit 2q for every odd-colored state q met
+        self._meet(self.initial)
+
+    def _meet(self, slots: int) -> None:
+        """Note which states of slots, met for the first time, are odd."""
+        new = slots & ~self._met
+        self._met |= new
+        for b in bits(new):
+            if self._color(b >> 1) & 1:
+                self._odd |= 1 << b
+
+    def _models(self, q: int, letter: int) -> tuple[list, list]:
+        """q's models on letter as pairs: plain, and with odd states owed."""
+        plain = [_spread(m) for m in self._delta(q, letter)]
+        union = 0
+        for m in plain:
+            union |= m
+        self._meet(union)
+        odd = self._odd
+        found = self._options[(q, letter)] = (plain, [m | (m & odd) << 1 for m in plain])
+        return found
+
+    def step(self, pair: int, letter: int) -> tuple[int, ...]:
+        """The minimal successor pairs of pair on letter."""
+        succs = self._steps.get((pair, letter))
+        if succs is None:
+            options = self._options
+            partial = [0]
+            rest = pair & self._met
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                q = low.bit_length() >> 1  # bit 2q, so length 2q + 1
+                found = options.get((q, letter)) or self._models(q, letter)
+                partial = extend(partial, found[1 if pair & low << 1 else 0])
+                if not partial:
+                    break
+            owed = self._met << 1
+            if not pair & owed:
+                odd = self._odd
+                partial = [s | (s & odd) << 1 for s in partial]
+            if len(partial) > 1:
+                # By owing, then slice: stable sorts, the last key first.
+                partial.sort()
+                partial.sort(key=owed.__and__)
+            succs = self._steps[(pair, letter)] = tuple(partial)
+        return succs
+
+    def accepting(self, pair: int) -> bool:
+        return not pair & self._met << 1
+
+    def accepts_lasso(self, trace: LassoTrace) -> bool:
+        """Lasso membership over the same memoized steps."""
+        return _accepts_lasso(self.props, self.initial, self.step, self.accepting, trace)
+
+    def check_weak(self) -> None:
+        """Raise NotWeakError unless the transitions asked for so far
+        keep every strongly connected component to one parity."""
+        edges: dict = {}  # state -> slots of its models asked for
+        for (q, _letter), (plain, _owed) in self._options.items():
+            for m in plain:
+                edges[q] = edges.get(q, 0) | m
+        for comp in sccs(list(edges), lambda q: [b >> 1 for b in bits(edges.get(q, 0))]):
+            if len({self._color(q) & 1 for q in comp}) > 1:
+                msg = "dealternation requires a weak alternating automaton"
+                raise NotWeakError(msg)
+
+
 def apa_to_nba(a: APA) -> NBA:
     """Breakpoint dealternation of a weak alternating automaton.
 
-    States are pairs (slice, owing) where the slice is the set of active
-    automaton states and owing tracks states whose run path has stayed
-    odd-colored since the last breakpoint; the accepting states are the
-    breakpoints, where nothing is owed.
-
-    Both sets are bitmasks over automaton states, packed into one int
-    with the owing bits above the slice bits, so that the pointwise
-    subset order on pairs is the subset order on ints.  The successors of
-    a pair for a letter are built by a fold over the slice, one state at a
-    time: each partial pair is extended by every minimal model of that
-    state's transition, and only the subset-minimal partial pairs are
-    kept.  Union preserves the
-    order, so the fold yields exactly the minimal pairs among all choices
-    of one model per state, and a pair that contains another accepts a
-    subset of its language, so dropping it keeps the language.  Pairs
-    are numbered breadth-first from the initial one, letter by letter
-    and in the int order of the pairs of each letter.
+    The ``Breakpoint`` steps of every reachable pair on every letter,
+    numbered breadth-first from the initial pair, letter by letter and
+    in the order of the pairs of each letter.
     """
-    if not is_weak(a):
-        msg = "dealternation requires a weak alternating automaton"
-        raise NotWeakError(msg)
-    n_letters = 1 << len(a.props)
-    n = a.n_states
-    slice_bits = (1 << n) - 1
-    bad = sum(1 << q for q in range(n) if a.color[q] % 2 == 1)
-    moves: list = []  # moves[i][letter]: node i's successors on letter
-
-    def successors(node):
-        slice_, owing = node & slice_bits, node >> n
-        states = [q for q in range(n) if slice_ >> q & 1]
-        per_letter = []
-        for letter in range(n_letters):
-            partial = [0]
-            for q in states:
-                options = a.delta[(q, letter)]
-                if owing >> q & 1:
-                    options = tuple(m | (m & bad) << n for m in options)
-                partial = extend(partial, options)
-                if not partial:
-                    break
-            if not owing:
-                partial = [s | (s & bad) << n for s in partial]
-            per_letter.append(sorted(partial))
-        moves.append(per_letter)
-        return itertools.chain.from_iterable(per_letter)
-
-    order, index, _ = explore([1 << a.initial], successors)
+    bp = Breakpoint(
+        a.props, lambda q, letter: a.delta[(q, letter)], a.color.__getitem__, a.initial
+    )
+    letters = range(1 << len(a.props))
+    step = bp.step
+    order, index, _ = explore(
+        [bp.initial],
+        lambda pair: [s for letter in letters for s in step(pair, letter)],
+    )
+    bp.check_weak()
     transitions = {
-        (i, letter): tuple(sorted([index[s] for s in succs]))
-        for i, per_letter in enumerate(moves)
-        for letter, succs in enumerate(per_letter)
+        (i, letter): tuple(sorted([index[s] for s in step(pair, letter)]))
+        for i, pair in enumerate(order)
+        for letter in letters
     }
-    accepting = frozenset(i for i, s in enumerate(order) if not s >> n)
+    accepting = frozenset(i for i, pair in enumerate(order) if bp.accepting(pair))
     return NBA(a.props, len(order), 0, transitions, accepting)
 
 
 def nba_accepts_lasso(nba: NBA, trace: LassoTrace) -> bool:
     """Product of the automaton with the lasso; look for a fair cycle."""
-    if not trace.propositions <= set(nba.props):
+    return _accepts_lasso(
+        nba.props,
+        nba.initial,
+        lambda q, letter: nba.transitions[(q, letter)],
+        nba.accepting.__contains__,
+        trace,
+    )
+
+
+def _accepts_lasso(props, initial, step, accepting, trace: LassoTrace) -> bool:
+    """Product of an automaton, given by its step, with the lasso."""
+    if not trace.propositions <= set(props):
         msg = "trace uses propositions outside the automaton alphabet"
         raise AlphabetMismatchError(msg)
-    word = [letter_of(nba.props, trace.letter_at(i)) for i in range(trace.positions)]
+    word = [letter_of(props, trace.letter_at(i)) for i in range(trace.positions)]
 
     def successors(node):
         q, cls = node
         nxt = trace.canonical_index(cls + 1)
-        return [(q2, nxt) for q2 in nba.transitions[(q, word[cls])]]
+        return [(q2, nxt) for q2 in step(q, word[cls])]
 
-    order, _, rows = explore([(nba.initial, 0)], successors)
+    order, _, rows = explore([(initial, 0)], successors)
     return any(
         (len(comp) > 1 or comp[0] in rows[comp[0]])
-        and any(order[i][0] in nba.accepting for i in comp)
+        and any(accepting(order[i][0]) for i in comp)
         for comp in sccs(range(len(rows)), rows.__getitem__)
     )
 

@@ -320,26 +320,110 @@ def test_projected_mc_matches_full_alphabet_reference(seed):
             assert is_trace_of(ts, cex)
 
 
-def test_mc_automata_are_built_over_the_formula_props(monkeypatch):
+def _recording_breakpoints(monkeypatch) -> list:
+    """Every Breakpoint that mc_rldl makes, each with the set of (pair,
+    letter) steps it was asked for."""
     import robusttl.omega as omega
 
     built = []
-    original = omega.apa_to_nba
 
-    def recording(a):
-        nba = original(a)
-        built.append((a.props, nba.n_states))
-        return nba
+    class Recording(omega.Breakpoint):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.asked = set()
+            built.append(self)
 
-    monkeypatch.setattr(omega, "apa_to_nba", recording)
+        def step(self, pair, letter):
+            self.asked.add((pair, letter))
+            return super().step(pair, letter)
+
+    monkeypatch.setattr(omega, "Breakpoint", Recording)
+    return built
+
+
+def test_mc_automata_are_built_over_the_formula_props(monkeypatch):
+    # One system over {p,q}, widened with 0-4 more propositions: the
+    # complement is built over the formula's {p,q} alone, and the product
+    # asks it for the same steps whatever the width.
+    built = _recording_breakpoints(monkeypatch)
     phi = parse("[tt*] (p -> <tt*> q)", LogicId.RLDL)
+    base = random_system(make_rng(2), 6, ("p", "q"))
     names = ("p", "q", "r", "s", "t", "u")
+    rng = make_rng(9)
     for width in range(2, 7):
-        ts = random_system(make_rng(width), 6, names[:width])
+        extra = names[2:width]
+        labels = {
+            s: base.labels[s] | {x for x in extra if rng.random() < 0.5}
+            for s in base.states
+        }
+        labels[base.initial] |= set(extra)
+        ts = TransitionSystem(base.states, base.initial, base.edges, labels)
         assert ts.propositions == set(names[:width])
         mc_rldl(ts, phi, from_string("0011"))
-    assert [props for props, _ in built] == [("p", "q")] * 5
-    assert len({n for _, n in built}) == 1
+    assert [b.props for b in built] == [("p", "q")] * 5
+    assert len({len(b.asked) for b in built}) == 1
+
+
+_PATTERNS = (
+    "[tt*] p",
+    "<tt*> !q",
+    "[tt*] <tt*> p",
+    "<tt*> [tt*] q",
+    "[tt*] (p -> <tt*> q)",
+    "[tt*] (!p -> <tt + tt ; tt> q)",
+)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_on_demand_complement_matches_eager_reference(seed):
+    # The verdict of the on-demand route is that of the full-alphabet
+    # product with the eagerly built complement NBA, and the on-demand
+    # complement accepts the same lassos as that NBA: those whose value
+    # is below the threshold.
+    from robusttl.apa import OnDemandAPA, apa_complement, from_rldl
+    from robusttl.omega import Breakpoint, apa_to_nba
+
+    rng = make_rng(seed + 900)
+    props = ("p", "q")
+    ts = random_system(rng, rng.randint(2, 5), ("p", "q", "r"))
+    lassos = [random_lasso(rng, props) for _ in range(16)]
+    for phi in (
+        parse(_PATTERNS[seed % len(_PATTERNS)], LogicId.RLDL),
+        random_formula(rng, LogicId.RLDL, rng.randint(1, 6), props),
+    ):
+        for beta in POSITIVE_VALUES:
+            result = mc_rldl(ts, phi, beta)
+            reference = full_alphabet_mc_witness(ts, phi, beta)
+            assert result.holds == (reference is None), (format_formula(phi), beta)
+            eager = apa_to_nba(apa_complement(from_rldl(phi, beta, props)))
+            good = OnDemandAPA(phi, beta, props)
+            bad = Breakpoint(props, good.delta, good.color, good.dual(good.initial))
+            for w in lassos:
+                want = eval_rldl(w, phi) < beta
+                assert bad.accepts_lasso(w) == want, (format_formula(phi), beta, w)
+                assert nba_accepts_lasso(eager, w) == want, (format_formula(phi), beta, w)
+
+
+def test_mc_builds_only_what_the_product_reaches(monkeypatch):
+    # One complement state of this formula at 0001 has 2304 minimal
+    # models on one letter; building the whole complement NBA did not
+    # finish in a minute.  On this system no match of the first guard
+    # starts: the initial pair has no successor on {p}, so the product
+    # stops after its first step.
+    built = _recording_breakpoints(monkeypatch)
+    ts = parse_transition_system(
+        """
+        state a init { p }
+        state b { q }
+        edge a b
+        edge b a
+        edge a a
+        """
+    )
+    phi = parse("[(!p)* ; q] [(p | q)] p", LogicId.RLDL)
+    for beta in POSITIVE_VALUES:
+        assert mc_rldl(ts, phi, beta).holds
+    assert all(len(b.asked) <= 2 for b in built)
 
 
 def test_fragment_sync_bounds_are_tight_enough():

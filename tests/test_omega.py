@@ -81,6 +81,22 @@ def test_apa_to_nba_requires_weak():
         apa_to_nba(bad)
 
 
+def test_breakpoint_step_requires_weak():
+    # The same alternation, asked for step by step as model checking
+    # does: the steps are built, and the weakness check after them fails.
+    delta = {(0, 0): (1 << 1,), (1, 0): (1 << 0,)}
+    bp = omega.Breakpoint(("p",), lambda q, a: delta[(q, a)], (0, 1).__getitem__, 0)
+    (second,) = bp.step(bp.initial, 0)
+    assert bp.step(second, 0) == (bp.initial,)
+    with pytest.raises(NotWeakError):
+        bp.check_weak()
+    # Colors 0 and 2 in one component have one parity: that is weak
+    # enough for the breakpoint construction.
+    even = omega.Breakpoint(("p",), lambda q, a: delta[(q, a)], (0, 2).__getitem__, 0)
+    even.step(even.step(even.initial, 0)[0], 0)
+    even.check_weak()
+
+
 def test_nba_accepts_lasso_infinitely_often():
     nba = simple_nba(True)
     assert nba_accepts_lasso(nba, parse_trace("; {p}"))
