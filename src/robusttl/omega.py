@@ -117,7 +117,7 @@ class Breakpoint:
         self._delta = delta
         self._color = color
         self.initial = 1 << 2 * initial
-        self._steps: dict = {}  # (pair, letter) -> successor pairs
+        self.steps: dict = {}  # (pair, letter) -> successor pairs, as built
         self._options: dict = {}  # (state, letter) -> models, owed models
         self._met = 0  # bit 2q for every state q met
         self._odd = 0  # bit 2q for every odd-colored state q met
@@ -137,14 +137,16 @@ class Breakpoint:
         union = 0
         for m in plain:
             union |= m
-        self._meet(union)
+        if union & ~self._met:
+            self._meet(union)
         odd = self._odd
-        found = self._options[(q, letter)] = (plain, [m | (m & odd) << 1 for m in plain])
+        owed = [m | (m & odd) << 1 for m in plain] if union & odd else plain
+        found = self._options[(q, letter)] = (plain, owed)
         return found
 
     def step(self, pair: int, letter: int) -> tuple[int, ...]:
         """The minimal successor pairs of pair on letter."""
-        succs = self._steps.get((pair, letter))
+        succs = self.steps.get((pair, letter))
         if succs is None:
             options = self._options
             partial = [0]
@@ -165,10 +167,11 @@ class Breakpoint:
                 # By owing, then slice: stable sorts, the last key first.
                 partial.sort()
                 partial.sort(key=owed.__and__)
-            succs = self._steps[(pair, letter)] = tuple(partial)
+            succs = self.steps[(pair, letter)] = tuple(partial)
         return succs
 
     def accepting(self, pair: int) -> bool:
+        """Whether pair is a breakpoint: nothing is owed."""
         return not pair & self._met << 1
 
     def accepts_lasso(self, trace: LassoTrace) -> bool:
@@ -206,9 +209,8 @@ def apa_to_nba(a: APA) -> NBA:
     )
     bp.check_weak()
     transitions = {
-        (i, letter): tuple(sorted([index[s] for s in step(pair, letter)]))
-        for i, pair in enumerate(order)
-        for letter in letters
+        (index[pair], letter): tuple(sorted([index[s] for s in succs]))
+        for (pair, letter), succs in bp.steps.items()
     }
     accepting = frozenset(i for i, pair in enumerate(order) if bp.accepting(pair))
     return NBA(a.props, len(order), 0, transitions, accepting)
