@@ -4,10 +4,12 @@ Thresholded checks search the product of the system with an automaton
 for the negated property, over the formula's own propositions, for an
 accepting lasso.  The automaton is built on the fly, as far as the
 product reaches it: its alternating transitions, their duals and its
-breakpoint pairs only for the system labels met.  Prompt checks solve a
-recoloring game where the verifier picks only the fresh color, over the
-relaxed property's parity automaton with "the color changes infinitely
-often" added as a product.
+breakpoint pairs only for the system labels met.  Prompt checks first
+run that search on the unbounded relaxation, whose counterexamples fail
+at every bound; only when it holds do they solve a recoloring game where
+the verifier picks only the fresh color, over the relaxed property's
+parity automaton with "the color changes infinitely often" added as a
+product, to certify a bound.
 """
 from __future__ import annotations
 
@@ -293,47 +295,43 @@ def _limit_prompt(psi: Formula) -> Formula:
     return rewrite(psi, rule)
 
 
-def _uniform_counterexample(ts: TransitionSystem, psi: Formula) -> LassoTrace:
-    """Trace of the system violating the property at every bound.
-
-    When no bound works on a finite system, some obligation can be
-    delayed around a cycle that never discharges it, so the unbounded
-    relaxation already fails on a lasso; such a lasso fails at every
-    bound because bounded satisfaction implies unbounded satisfaction.
-    """
-    from .translate import embed_ldl_in_rldl, ltl_surface_to_ldl
-
-    limit = ltl_surface_to_ldl(_limit_prompt(psi))
-    checked = mc_rldl(ts, embed_ldl_in_rldl(limit), TOP)
-    if checked.holds:
-        msg = "internal error: no bound works yet the relaxation holds"
-        raise AssertionError(msg)
-    return checked.counterexample
-
-
 def prompt_mc(ts: TransitionSystem, psi: Formula) -> McResult:
     """Is there a bound k under which every trace satisfies psi?
 
-    Solved as a recoloring game on the system where the adversary picks
-    transitions and the verifier only picks the color bit.
+    Refuted first, on the fly: a path that violates the unbounded
+    relaxation (every prompt operator made plain) violates psi at every
+    bound (Kupferman, Piterman and Vardi, "From liveness to promptness",
+    FMSD 2009), so ``mc_rldl`` of the relaxation returns such a path, as
+    a checked counterexample, without a parity automaton or a game.
+    Only when the relaxation holds is the recoloring game solved on the
+    system, where the adversary picks transitions and the verifier only
+    the color bit, and the bound is the game's.  If that game is lost,
+    every path meets the relaxation but no single lasso fails at every
+    bound: each bound has its own violating trace, so the result carries
+    no counterexample.
     """
-    from .games import GameResult, LabeledGameGraph, solve_prompt_game
+    from .games import LabeledGameGraph, solve_prompt_game
+    from .translate import embed_ldl_in_rldl, ltl_surface_to_ldl
 
     try:
         require_logic(psi, LogicId.PROMPT_LTL)
     except LogicViolationError:
         require_logic(psi, LogicId.PROMPT_LDL)
     ts.validate()
+    limit = embed_ldl_in_rldl(ltl_surface_to_ldl(_limit_prompt(psi)))
+    refuted = mc_rldl(ts, limit, TOP)
+    if not refuted.holds:
+        return refuted
     graph = LabeledGameGraph(
         vertices=tuple(ts.states),
         owner={s: 1 for s in ts.states},
         edges=dict(ts.edges),
         labels=dict(ts.labels),
     )
-    result: GameResult = solve_prompt_game(graph, psi, ts.initial)
+    result = solve_prompt_game(graph, psi, ts.initial)
     if result.winner == 0:
         return McResult(True, bound=result.bound)
-    return McResult(False, _uniform_counterexample(ts, psi))
+    return McResult(False)
 
 
 def mc_rprompt_ltl(

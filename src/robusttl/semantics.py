@@ -212,15 +212,23 @@ class _EvaluatorBase:
         return self.k
 
     def engine(self, guard: Guard, bit: int | None) -> _GuardEngine:
-        key = (guard, bit)
-        if key not in self._engines:
-            nfa = thompson(guard)
-            if bit is None:
-                test_fn = lambda c, f: self.value(c, f) == 1  # noqa: E731
-            else:
-                test_fn = lambda c, f: self.value(c, f).bit(bit) == 1  # noqa: E731
-            self._engines[key] = _GuardEngine(self.trace, nfa, test_fn)
-        return self._engines[key]
+        """The match engine of a guard whose tests are read at the bit.
+
+        A guard without tests reads no bit, so one engine, kept under
+        bit None, serves every bit.
+        """
+        for key in ((guard, None), (guard, bit)):
+            if key in self._engines:
+                return self._engines[key]
+        nfa = thompson(guard)
+        if not nfa.tests:
+            bit = None
+        if bit is None:
+            test_fn = lambda c, f: self.value(c, f) == 1  # noqa: E731
+        else:
+            test_fn = lambda c, f: self.value(c, f).bit(bit) == 1  # noqa: E731
+        engine = self._engines[(guard, bit)] = _GuardEngine(self.trace, nfa, test_fn)
+        return engine
 
     def value(self, c: int, phi: Formula):
         key = (c, phi)

@@ -242,6 +242,31 @@ def test_mc_rprompt_thresholds(tmp_path, capsys):
     assert out.splitlines()[0] == "violated"
 
 
+def test_mc_prompt_violated_without_counterexample(tmp_path, capsys):
+    # Every path meets G F q | F G r but no bound works, and no single
+    # lasso fails at every bound: the verdict alone is printed.
+    path = tmp_path / "sys.txt"
+    path.write_text(
+        "state a init { r }\nstate b { q }\n"
+        "edge a a\nedge a b\nedge b a\nedge b b\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(
+        [
+            "mc",
+            "--system",
+            str(path),
+            "--logic",
+            "promptltl",
+            "--formula",
+            "G Fp q | F G r",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert out == "violated\n"
+
+
 def test_mc_missing_file_exits_two(capsys):
     code, _, err = run(
         [

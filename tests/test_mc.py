@@ -1,12 +1,22 @@
 import pytest
 from _oracles import full_alphabet_mc_witness
 
-from robusttl.formulas import LogicId, format_formula
+from robusttl.formulas import (
+    Always,
+    Eventually,
+    LogicId,
+    Or,
+    PromptEventually,
+    format_formula,
+)
+from robusttl.games import LabeledGameGraph, solve_prompt_game
 from robusttl.gen import make_rng, random_formula, random_lasso, random_system
+from robusttl.guards import HasTestsError
 from robusttl.modelcheck import (
     SystemFormatError,
     TerminalStateError,
     TransitionSystem,
+    _limit_prompt,
     format_transition_system,
     is_trace_of,
     mc_fragment,
@@ -22,7 +32,8 @@ from robusttl.omega import nba_accepts_lasso
 from robusttl.parser import parse
 from robusttl.semantics import eval_prompt_ltl, eval_rldl, eval_rprompt_ltl, evaluate
 from robusttl.traces import LassoTrace, parse_trace
-from robusttl.truth import ALL_VALUES, BOTTOM, POSITIVE_VALUES, from_string
+from robusttl.translate import embed_ldl_in_rldl, ltl_surface_to_ldl, rprompt_to_prompt
+from robusttl.truth import ALL_VALUES, BOTTOM, POSITIVE_VALUES, TOP, from_string
 
 ALL_P_LOOP = """
 state a init { p }
@@ -201,6 +212,101 @@ def test_prompt_mc_unbounded_delay():
     ts = parse_transition_system(text)
     assert not prompt_mc(ts, parse("G Fp s", LogicId.PROMPT_LTL)).holds
     assert not prompt_mc(ts, parse("Fp s", LogicId.PROMPT_LTL)).holds
+
+
+GF_Q_OR_FG_R = """
+state a init { r }
+state b { q }
+edge a a
+edge a b
+edge b a
+edge b b
+"""
+
+
+def test_prompt_mc_violated_without_uniform_counterexample():
+    # Every path meets G F q | F G r, yet no bound works: for each k the
+    # lasso a^(k+1) ; (b a^(k+1)) fails at k and holds at k + 2, so no
+    # single lasso fails at every bound and the verdict has none.
+    ts = parse_transition_system(GF_Q_OR_FG_R)
+    psi = parse("G Fp q | F G r", LogicId.PROMPT_LTL)
+    result = prompt_mc(ts, psi)
+    assert not result.holds
+    assert result.counterexample is None
+    a, b = frozenset({"r"}), frozenset({"q"})
+    for k in range(6):
+        w = LassoTrace((a,) * (k + 1), (b,) + (a,) * (k + 1))
+        assert is_trace_of(ts, w)
+        assert eval_prompt_ltl(w, k, psi) == 0
+        assert eval_prompt_ltl(w, k + 2, psi) == 1
+    robust = parse("G Fp q | F G r", LogicId.RPROMPT_LTL)
+    for beta in ("0111", "1111"):
+        result = mc_rprompt_ltl(ts, robust, from_string(beta))
+        assert not result.holds
+        assert result.counterexample is None
+
+
+def _prompt_instances(rng):
+    """Random prompt queries: (system, logic, formula, threshold), the
+    threshold None for the unthresholded logics."""
+    pq = ("p", "q")
+    for i in range(90):
+        ts = random_system(rng, rng.randint(1, 3), pq)
+        kind = i % 3
+        if kind == 0:
+            logic = rng.choice((LogicId.PROMPT_LTL, LogicId.PROMPT_LDL))
+            yield ts, logic, random_formula(rng, logic, rng.randint(2, 6), pq), None
+        elif kind == 1:
+            # G Fp f | F G g: where a bound can fail on no single lasso.
+            f = random_formula(rng, LogicId.PROMPT_LTL, rng.randint(1, 2), pq)
+            g = random_formula(rng, LogicId.PROMPT_LTL, rng.randint(1, 2), pq)
+            psi = Or(Always(PromptEventually(f)), Eventually(Always(g)))
+            yield ts, LogicId.PROMPT_LTL, psi, None
+        else:
+            phi = random_formula(rng, LogicId.RPROMPT_LTL, rng.randint(2, 6), pq)
+            for beta in POSITIVE_VALUES:
+                yield ts, LogicId.RPROMPT_LTL, phi, beta
+
+
+def test_prompt_mc_agrees_with_the_prompt_game():
+    # The system as an arena where the adversary owns every vertex: the
+    # game's winner and bound are prompt_mc's verdict and bound.
+    rng = make_rng(23)
+    counts = {"holds": 0, "counterexample": 0, "no lasso": 0, "tests": 0}
+    for ts, logic, phi, beta in _prompt_instances(rng):
+        graph = LabeledGameGraph(
+            ts.states, {s: 1 for s in ts.states}, ts.edges, ts.labels
+        )
+        if beta is None:
+            psi = phi
+            result = prompt_mc(ts, psi)
+        else:
+            psi = rprompt_to_prompt(phi, beta)
+            result = mc_rprompt_ltl(ts, phi, beta)
+        try:
+            game = solve_prompt_game(graph, psi, ts.initial)
+        except HasTestsError:
+            # The recoloring needs test-free prompt guards; such a
+            # formula is answered only when the relaxation refutes it.
+            assert not result.holds
+            counts["tests"] += 1
+        else:
+            assert result.holds == (game.winner == 0), (format_formula(phi), beta, ts)
+            if result.holds:
+                assert result.bound == game.bound
+                counts["holds"] += 1
+        cex = result.counterexample
+        if cex is not None:
+            assert is_trace_of(ts, cex)
+            for k in range(9):
+                value = evaluate(cex, phi, logic, k)
+                assert (value < beta) if beta is not None else (value == 0), (phi, k)
+            counts["counterexample"] += 1
+        elif not result.holds:
+            limit = embed_ldl_in_rldl(ltl_surface_to_ldl(_limit_prompt(psi)))
+            assert full_alphabet_mc_witness(ts, limit, TOP) is None
+            counts["no lasso"] += 1
+    assert all(counts.values()), counts
 
 
 def test_prompt_mc_eventually_holds():

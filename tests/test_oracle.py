@@ -12,6 +12,7 @@ from robusttl.parser import parse, parse_guard
 from robusttl.semantics import (
     MissingBoundError,
     _GuardEngine,
+    _RobustEvaluator,
     eval_ldl,
     eval_ltl,
     eval_prompt_ltl,
@@ -141,6 +142,21 @@ def test_match_set_respects_test_bit():
     guard = parse_guard("{[tt*] p}?")
     assert match_set(w, guard, 1).finite_matches == ()
     assert match_set(w, guard, 2).finite_matches == (0,)
+
+
+def test_test_free_guard_shares_one_engine_across_bits():
+    # A guard without tests reads no bit, so the four bits of a robust
+    # box share one engine; a guard with a test keeps one per bit.
+    w = parse_trace("{q} ; {p} {q}")
+    plain = _RobustEvaluator(w)
+    plain.value(0, parse("[tt*] p", LogicId.RLDL))
+    assert list(plain._engines) == [(parse_guard("tt*"), None)]
+    tested = _RobustEvaluator(w)
+    tested.value(0, parse("[{q}? ; tt*] p", LogicId.RLDL))
+    guard = parse_guard("{q}? ; tt*")
+    assert sorted(tested._engines, key=lambda key: key[1]) == [
+        (guard, bit) for bit in range(1, 5)
+    ]
 
 
 def test_match_set_bit_range():
