@@ -13,8 +13,9 @@ Every pass over the tree is one of two traversals, each with its own
 stack, so nothing here recurses on the depth of a formula.  ``walk``
 visits each node once in preorder; closure, propositions and the
 admissibility check are walks.  ``_fold`` computes a value per node
-from the values of its parts; guard lengths, guard tests, the printer,
-which reads one table of operator syntax, and ``rewrite``, which
+from the values of its parts; guard lengths, guard tests, the polarity
+of the prompt operators, the printer, which reads one table of operator
+syntax, and ``rewrite``, which
 rebuilds a formula by a rule per node, are folds.  The translations are
 rewrites.
 """
@@ -350,6 +351,30 @@ def guard_tests(guard: Guard) -> tuple[Formula, ...]:
         lambda node, below: (node.formula,) if type(node) is Test else sum(below, ()),
         _guard_parts,
     )
+
+
+def prompt_positive(phi: Formula) -> bool:
+    """Whether every prompt operator in phi occurs positively.
+
+    The prompt logics have no negation, so only a test in the guard of
+    a box turns polarity: ``[{<p tt*> q}?] r`` asks more of a trace as
+    the bound grows.  When every prompt operator is positive, a larger
+    bound, and the unbounded relaxation most of all, only makes phi
+    truer.  The fold gives each node whether a prompt operator occurs
+    below it positively and whether one occurs negatively.
+    """
+
+    def combine(node, below) -> tuple[bool, bool]:
+        if type(node) is Box:
+            (guard_pos, guard_neg), arg = below
+            below = ((guard_neg, guard_pos), arg)
+        positive = isinstance(node, (PromptEventually, PromptDiamond))
+        return (
+            positive or any(pos for pos, _ in below),
+            any(neg for _, neg in below),
+        )
+
+    return not _fold(phi, combine, _parts)[1]
 
 
 def closure(phi: Formula) -> frozenset[Formula]:

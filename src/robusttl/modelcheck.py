@@ -4,12 +4,13 @@ Thresholded checks search the product of the system with an automaton
 for the negated property, over the formula's own propositions, for an
 accepting lasso.  The automaton is built on the fly, as far as the
 product reaches it: its alternating transitions, their duals and its
-breakpoint pairs only for the system labels met.  Prompt checks first
-run that search on the unbounded relaxation, whose counterexamples fail
-at every bound; only when it holds do they solve a recoloring game where
-the verifier picks only the fresh color, over the relaxed property's
-parity automaton with "the color changes infinitely often" added as a
-product, to certify a bound.
+breakpoint pairs only for the system labels met.  Prompt checks whose
+prompt operators all occur positively first run that search on the
+unbounded relaxation, whose counterexamples then fail at every bound;
+only when it holds, or when some prompt operator is negative, do they
+solve a recoloring game where the verifier picks only the fresh color,
+over the relaxed property's parity automaton with "the color changes
+infinitely often" added as a product, to certify a bound.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .formulas import (
     Prop,
     Star,
     Until,
+    prompt_positive,
     propositions,
     require_logic,
     rewrite,
@@ -298,17 +300,22 @@ def _limit_prompt(psi: Formula) -> Formula:
 def prompt_mc(ts: TransitionSystem, psi: Formula) -> McResult:
     """Is there a bound k under which every trace satisfies psi?
 
-    Refuted first, on the fly: a path that violates the unbounded
-    relaxation (every prompt operator made plain) violates psi at every
-    bound (Kupferman, Piterman and Vardi, "From liveness to promptness",
-    FMSD 2009), so ``mc_rldl`` of the relaxation returns such a path, as
-    a checked counterexample, without a parity automaton or a game.
-    Only when the relaxation holds is the recoloring game solved on the
-    system, where the adversary picks transitions and the verifier only
-    the color bit, and the bound is the game's.  If that game is lost,
-    every path meets the relaxation but no single lasso fails at every
-    bound: each bound has its own violating trace, so the result carries
-    no counterexample.
+    Refuted first, on the fly, when every prompt operator occurs
+    positively: a path that violates the unbounded relaxation (every
+    prompt operator made plain) then violates psi at every bound
+    (Kupferman, Piterman and Vardi, "From liveness to promptness", FMSD
+    2009), so ``mc_rldl`` of the relaxation returns such a path, as a
+    checked counterexample, without a parity automaton or a game.  A
+    prompt operator in a test under a box is negative: there a larger
+    bound can make psi false, as ``[{<p tt*> q}?] r`` on a trace that
+    meets q only late, so a path violating the relaxation may still
+    meet psi at a small bound, and such a psi goes straight to the game.
+    The recoloring game is solved on the system, where the adversary
+    picks transitions and the verifier only the color bit, and the
+    bound is the game's.  If that game is lost, the result carries no
+    counterexample: for a positive psi every path then meets the
+    relaxation and each bound fails on a trace of its own, none on
+    every bound; for a negative psi no such trace is searched for.
     """
     from .games import LabeledGameGraph, solve_prompt_game
     from .translate import embed_ldl_in_rldl, ltl_surface_to_ldl
@@ -318,10 +325,11 @@ def prompt_mc(ts: TransitionSystem, psi: Formula) -> McResult:
     except LogicViolationError:
         require_logic(psi, LogicId.PROMPT_LDL)
     ts.validate()
-    limit = embed_ldl_in_rldl(ltl_surface_to_ldl(_limit_prompt(psi)))
-    refuted = mc_rldl(ts, limit, TOP)
-    if not refuted.holds:
-        return refuted
+    if prompt_positive(psi):
+        limit = embed_ldl_in_rldl(ltl_surface_to_ldl(_limit_prompt(psi)))
+        refuted = mc_rldl(ts, limit, TOP)
+        if not refuted.holds:
+            return refuted
     graph = LabeledGameGraph(
         vertices=tuple(ts.states),
         owner={s: 1 for s in ts.states},

@@ -3,12 +3,20 @@ from _oracles import full_alphabet_mc_witness
 
 from robusttl.formulas import (
     Always,
+    Box,
+    Concat,
     Eventually,
     LogicId,
     Or,
+    Prop,
+    PromptDiamond,
     PromptEventually,
+    Star,
+    Tt,
     format_formula,
+    prompt_positive,
 )
+from robusttl.formulas import Test as GuardTest
 from robusttl.games import LabeledGameGraph, solve_prompt_game
 from robusttl.gen import make_rng, random_formula, random_lasso, random_system
 from robusttl.guards import HasTestsError
@@ -246,13 +254,44 @@ def test_prompt_mc_violated_without_uniform_counterexample():
         assert result.counterexample is None
 
 
+LATE_Q = """
+state a init { }
+state b { }
+state c { }
+state d { q }
+edge a b
+edge b c
+edge c d
+edge d d
+"""
+
+
+def test_prompt_mc_negative_prompt_is_not_refuted_by_the_relaxation():
+    # A prompt diamond in a test under a box is negative: a larger bound
+    # asks more.  The only trace meets psi at bound 0, where the test
+    # fails, but violates the relaxation [{<tt*> q}?] r, so the
+    # relaxation's counterexample is no counterexample of psi.
+    ts = parse_transition_system(LATE_Q)
+    psi = parse("[{<p tt*> q}?] r", LogicId.PROMPT_LDL)
+    assert not prompt_positive(psi)
+    w = parse_trace("{} {} {} ; {q}")
+    assert is_trace_of(ts, w)
+    assert evaluate(w, psi, LogicId.PROMPT_LDL, 0) == 1
+    limit = embed_ldl_in_rldl(ltl_surface_to_ldl(_limit_prompt(psi)))
+    assert not mc_rldl(ts, limit, TOP).holds
+    result = prompt_mc(ts, psi)
+    assert result.holds
+    assert result.counterexample is None
+
+
 def _prompt_instances(rng):
     """Random prompt queries: (system, logic, formula, threshold), the
     threshold None for the unthresholded logics."""
     pq = ("p", "q")
-    for i in range(90):
+    everywhere = Star(Prop(Tt()))
+    for i in range(120):
         ts = random_system(rng, rng.randint(1, 3), pq)
-        kind = i % 3
+        kind = i % 4
         if kind == 0:
             logic = rng.choice((LogicId.PROMPT_LTL, LogicId.PROMPT_LDL))
             yield ts, logic, random_formula(rng, logic, rng.randint(2, 6), pq), None
@@ -262,33 +301,46 @@ def _prompt_instances(rng):
             g = random_formula(rng, LogicId.PROMPT_LTL, rng.randint(1, 2), pq)
             psi = Or(Always(PromptEventually(f)), Eventually(Always(g)))
             yield ts, LogicId.PROMPT_LTL, psi, None
-        else:
+        elif kind == 2:
             phi = random_formula(rng, LogicId.RPROMPT_LTL, rng.randint(2, 6), pq)
             for beta in POSITIVE_VALUES:
                 yield ts, LogicId.RPROMPT_LTL, phi, beta
+        else:
+            # [{<p tt*> f}?] g or [tt* ; {<p tt*> f}?] g: a negative
+            # prompt operator, which a larger bound makes harder to meet.
+            f = random_formula(rng, LogicId.PROMPT_LDL, rng.randint(1, 2), pq)
+            g = random_formula(rng, LogicId.PROMPT_LDL, rng.randint(1, 2), pq)
+            test = GuardTest(PromptDiamond(everywhere, f))
+            guard = rng.choice((test, Concat(everywhere, test)))
+            yield ts, LogicId.PROMPT_LDL, Box(guard, g), None
 
 
 def test_prompt_mc_agrees_with_the_prompt_game():
     # The system as an arena where the adversary owns every vertex: the
     # game's winner and bound are prompt_mc's verdict and bound.
     rng = make_rng(23)
-    counts = {"holds": 0, "counterexample": 0, "no lasso": 0, "tests": 0}
+    counts = {"holds": 0, "counterexample": 0, "no lasso": 0, "tests": 0, "negative": 0}
     for ts, logic, phi, beta in _prompt_instances(rng):
         graph = LabeledGameGraph(
             ts.states, {s: 1 for s in ts.states}, ts.edges, ts.labels
         )
-        if beta is None:
-            psi = phi
-            result = prompt_mc(ts, psi)
-        else:
-            psi = rprompt_to_prompt(phi, beta)
-            result = mc_rprompt_ltl(ts, phi, beta)
+        psi = phi if beta is None else rprompt_to_prompt(phi, beta)
         try:
             game = solve_prompt_game(graph, psi, ts.initial)
         except HasTestsError:
             # The recoloring needs test-free prompt guards; such a
             # formula is answered only when the relaxation refutes it.
-            assert not result.holds
+            game = None
+        try:
+            if beta is None:
+                result = prompt_mc(ts, psi)
+            else:
+                result = mc_rprompt_ltl(ts, phi, beta)
+        except HasTestsError:
+            assert game is None
+            continue
+        if game is None:
+            assert prompt_positive(psi) and not result.holds
             counts["tests"] += 1
         else:
             assert result.holds == (game.winner == 0), (format_formula(phi), beta, ts)
@@ -296,7 +348,12 @@ def test_prompt_mc_agrees_with_the_prompt_game():
                 assert result.bound == game.bound
                 counts["holds"] += 1
         cex = result.counterexample
-        if cex is not None:
+        if not prompt_positive(psi):
+            # No relaxation refutes a negative prompt operator, and the
+            # game gives no counterexample.
+            assert cex is None
+            counts["negative"] += 1
+        elif cex is not None:
             assert is_trace_of(ts, cex)
             for k in range(9):
                 value = evaluate(cex, phi, logic, k)

@@ -38,6 +38,7 @@ from robusttl.formulas import (
     guard_length,
     guard_tests,
     is_propositional,
+    prompt_positive,
     propositions,
     require_logic,
     size,
@@ -209,6 +210,25 @@ def test_propositions():
 def test_guard_tests_listing():
     g = parse_guard("{p}? ; ({q}? + tt)*")
     assert guard_tests(g) == (Atom("p"), Atom("q"))
+
+
+@pytest.mark.parametrize(
+    ("text", "positive"),
+    [
+        ("G Fp q | F G r", True),
+        ("[tt*] <p tt*> q", True),
+        ("[{q}? ; tt*] <p tt*> q", True),
+        ("<{<p tt*> q}?> r", True),
+        ("[{<p tt*> q}?] r", False),
+        ("[tt* ; {p & <p tt*> q}?] r", False),
+        ("<{[{<p tt*> q}?] r}?> s", False),
+        ("[{[{<p tt*> q}?] r}?] s", True),
+        ("[{<p tt*> q}?] r & [{r}?] <p tt*> q", False),
+    ],
+)
+def test_prompt_positive_counts_box_tests(text, positive):
+    # Only a test in the guard of a box turns polarity.
+    assert prompt_positive(parse(text)) is positive
 
 
 def test_prompt_tokens():
