@@ -54,6 +54,15 @@ class AlphabetMismatchError(ValueError):
     """Raised when propositions fall outside an automaton's alphabet."""
 
 
+def lasso_word(props: tuple[str, ...], trace: LassoTrace) -> list[int]:
+    """The letter numbers over props of the lasso's canonical positions;
+    AlphabetMismatchError if the trace uses another proposition."""
+    if not trace.propositions <= set(props):
+        msg = "trace uses propositions outside the automaton alphabet"
+        raise AlphabetMismatchError(msg)
+    return [letter_of(props, trace.letter_at(i)) for i in range(trace.positions)]
+
+
 def bits(mask: int):
     """The indices of the set bits of mask, lowest first."""
     while mask:
@@ -171,10 +180,7 @@ def apa_accepts_lasso(a: APA, trace: LassoTrace) -> bool:
     """Membership via the acceptance parity game on the lasso."""
     from .games import ParityGame, solve_parity
 
-    if not trace.propositions <= set(a.props):
-        msg = "trace uses propositions outside the automaton alphabet"
-        raise AlphabetMismatchError(msg)
-    word = [letter_of(a.props, trace.letter_at(i)) for i in range(trace.positions)]
+    word = lasso_word(a.props, trace)
     # Player 0 picks a model of a state's transition, player 1 a state of
     # the model.  The empty model accepts and no model rejects: sinks of
     # color 0 and 1.

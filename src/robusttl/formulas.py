@@ -22,6 +22,7 @@ rewrites.
 from __future__ import annotations
 
 import enum
+import re
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -48,6 +49,11 @@ ROBUST_LOGICS = frozenset(
 PROMPT_LOGICS = frozenset(
     {LogicId.PROMPT_LTL, LogicId.PROMPT_LDL, LogicId.RPROMPT_LTL, LogicId.RPROMPT_LDL}
 )
+
+
+#: A proposition name as the formula parser reads it; the readers of
+#: traces, systems and arenas accept no other.
+PROP_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'*")
 
 
 class LogicViolationError(ValueError):

@@ -1,16 +1,19 @@
 """Graph routines shared by the layers: breadth-first numbering of the
-nodes reachable from a start, strongly connected components, least
-parity priorities, and the line format that transition systems and game
-arenas are written in.
+nodes reachable from a start, strongly connected components, the search
+for an accepting node on a cycle, least parity priorities, and the line
+format that transition systems and game arenas are written in.
 
 Every automaton, product and game of the package is built on the fly
 (Gerth, Peled, Vardi and Wolper, PSTV 1995) by ``explore``: only the
 nodes reachable from the start are made, and the numbers ``explore``
 gives them are the state numbers of the automaton, the vertex numbers
 of the game, the memory of a strategy and the count behind a prompt
-bound.
+bound.  So is every accepting-lasso search (``accepting_cycle``): model
+checking, emptiness, lasso membership and the system-trace check.
 """
 from __future__ import annotations
+
+from .formulas import PROP_NAME
 
 
 def explore(roots, successors) -> tuple[list, dict, list]:
@@ -89,6 +92,31 @@ def sccs(roots, successors) -> list[tuple]:
                             break
                     components.append(tuple(comp))
     return components
+
+
+def accepting_cycle(root, successors, accepting) -> tuple | None:
+    """``explore``'s order and rows from root, with the number of the
+    first accepting node that lies on a cycle, or None if none does.
+    The strongly connected components tell which nodes lie on one."""
+    order, _, rows = explore([root], successors)
+    cyclic = {i for c in sccs([0], rows.__getitem__) if len(c) > 1 or c[0] in rows[c[0]] for i in c}
+    target = next((i for i in sorted(cyclic) if accepting(order[i])), None)
+    return None if target is None else (order, rows, target)
+
+
+def tree_path(rows: list, target: int) -> list[int]:
+    """The breadth-first path from node 0 to target in ``explore``'s
+    rows, each node reached from the first node that names it: row p
+    names first the numbers above those of the rows before it."""
+    parent = [0]  # of each number named so far
+    for p, row in enumerate(rows):
+        if len(parent) > target:
+            break
+        parent += [p] * (max(row, default=0) + 1 - len(parent))
+    path = [target]
+    while path[-1]:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def least_priorities(succ: list, color: list) -> list[int]:
@@ -189,8 +217,13 @@ def read_graph_text(text: str, node_word: str, edge_word: str, noun: str,
             if name in labels:
                 msg = f"duplicate {noun} {name!r}"
                 raise error(msg)
+            label = [p.strip() for p in brace[:-1].split(",") if p.strip()]
+            for p in label:
+                if not PROP_NAME.fullmatch(p):
+                    msg = f"proposition name {p!r} is not an identifier: {raw.strip()!r}"
+                    raise error(msg)
             names.append(name)
-            labels[name] = frozenset(p.strip() for p in brace[:-1].split(",") if p.strip())
+            labels[name] = frozenset(label)
             succs[name] = []
         elif parts[0] == edge_word:
             if len(parts) != 3:

@@ -39,7 +39,7 @@ from .formulas import (
     require_logic,
     rewrite,
 )
-from .graphs import read_graph_text
+from .graphs import accepting_cycle, read_graph_text
 from .guards import determinize, dfa_product, extract_regex, letter_of
 from .semantics import eval_rldl
 from .traces import LassoTrace
@@ -154,25 +154,17 @@ class McResult:
 
 
 def is_trace_of(ts: TransitionSystem, trace: LassoTrace) -> bool:
-    """Whether some path of the system produces the lasso's word."""
-    n = len(trace.prefix) + len(trace.loop)
-    nodes = {
-        (s, c)
-        for s in ts.states
-        for c in range(n)
-        if ts.labels[s] == trace.letter_at(c)
-    }
-    # Largest subset where every node has a successor in the subset.
-    changed = True
-    while changed:
-        changed = False
-        for node in sorted(nodes):
-            s, c = node
-            c2 = trace.canonical_index(c + 1)
-            if not any((t, c2) in nodes for t in ts.edges[s]):
-                nodes.discard(node)
-                changed = True
-    return (ts.initial, 0) in nodes
+    """Whether some path of the system produces the lasso's word: whether
+    their product, which pairs a state with a position of the same
+    letter, reaches a cycle, an accepting one when every node accepts."""
+
+    def successors(node):
+        c = trace.canonical_index(node[1] + 1)
+        return [(t, c) for t in ts.edges[node[0]] if ts.labels[t] == trace.letter_at(c)]
+
+    return ts.labels[ts.initial] == trace.letter_at(0) and (
+        accepting_cycle((ts.initial, 0), successors, lambda _node: True) is not None
+    )
 
 
 def shrink_lasso(trace: LassoTrace) -> LassoTrace:
@@ -221,12 +213,13 @@ def mc_rldl(ts: TransitionSystem, phi: Formula, beta: TruthValue4) -> McResult:
     def successors(node):
         s, pair = node
         targets = bad.step(pair, letter[s])
-        return [(ts.labels[s], (t, p2)) for t in ts.edges[s] for p2 in targets]
+        return [(t, p2) for t in ts.edges[s] for p2 in targets]
 
     witness = lasso_search(
         (ts.initial, bad.initial),
         successors,
         lambda node: bad.accepting(node[1]),
+        lambda node, _succ: ts.labels[node[0]],
     )
     bad.check_weak()
     if witness is None:

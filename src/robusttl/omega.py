@@ -37,10 +37,10 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .apa import APA, AlphabetMismatchError, bits, extend
+from .apa import APA, AlphabetMismatchError, bits, extend, lasso_word
 from .formulas import Formula, LogicId, require_logic
-from .graphs import explore, least_priorities, sccs
-from .guards import all_letters, letter_of
+from .graphs import accepting_cycle, explore, least_priorities, sccs, tree_path
+from .guards import all_letters
 from .traces import LassoTrace
 from .truth import TOP, TruthValue4
 
@@ -229,22 +229,14 @@ def nba_accepts_lasso(nba: NBA, trace: LassoTrace) -> bool:
 
 def _accepts_lasso(props, initial, step, accepting, trace: LassoTrace) -> bool:
     """Product of an automaton, given by its step, with the lasso."""
-    if not trace.propositions <= set(props):
-        msg = "trace uses propositions outside the automaton alphabet"
-        raise AlphabetMismatchError(msg)
-    word = [letter_of(props, trace.letter_at(i)) for i in range(trace.positions)]
+    word = lasso_word(props, trace)
 
     def successors(node):
         q, cls = node
         nxt = trace.canonical_index(cls + 1)
         return [(q2, nxt) for q2 in step(q, word[cls])]
 
-    order, _, rows = explore([(initial, 0)], successors)
-    return any(
-        (len(comp) > 1 or comp[0] in rows[comp[0]])
-        and any(accepting(order[i][0]) for i in comp)
-        for comp in sccs(range(len(rows)), rows.__getitem__)
-    )
+    return accepting_cycle((initial, 0), successors, lambda node: accepting(node[0])) is not None
 
 
 def nba_emptiness(nba: NBA) -> LassoTrace | None:
@@ -256,74 +248,36 @@ def nba_emptiness(nba: NBA) -> LassoTrace | None:
     letters = all_letters(nba.props)
 
     def successors(q: int):
-        return [
-            (letter, q2)
-            for a, letter in enumerate(letters)
-            for q2 in nba.transitions[(q, a)]
-        ]
+        return [q2 for a in range(len(letters)) for q2 in nba.transitions[(q, a)]]
 
-    witness = lasso_search(nba.initial, successors, nba.accepting.__contains__)
+    def letter(q: int, q2: int):  # the first letter that leads to q2
+        return next(x for a, x in enumerate(letters) if q2 in nba.transitions[(q, a)])
+
+    witness = lasso_search(nba.initial, successors, nba.accepting.__contains__, letter)
     if witness is not None and not nba_accepts_lasso(nba, witness):
         msg = "internal error: emptiness witness rejected"
         raise AssertionError(msg)
     return witness
 
 
-def lasso_search(initial, successors, accepting) -> LassoTrace | None:
+def lasso_search(initial, successors, accepting, letter) -> LassoTrace | None:
     """A lasso through a reachable accepting node on a cycle, or None.
 
-    The graph is built breadth-first from ``initial`` only:
-    ``successors(node)`` gives the (letter, node) pairs leaving a node and
-    is called once per reached node.  The first reached accepting node
-    that lies on a cycle gives the lasso: its breadth-first path as the
-    prefix and its shortest cycle as the loop.
+    ``successors(node)`` lists the nodes after node, once per reached
+    node; ``letter(node, succ)``, an edge's letter, is asked along the
+    lasso only.  The prefix is the breadth-first path to the first
+    accepting node on a cycle (``graphs.accepting_cycle``), the loop its
+    shortest cycle, read off an ``explore`` rooted at that node.
     """
-    graph: dict = {}
-    parent: dict = {initial: None}
-    work = deque((initial,))
-    reach_order = [initial]
-    while work:
-        node = work.popleft()
-        graph[node] = succs = tuple(successors(node))
-        for letter, node2 in succs:
-            if node2 not in parent:
-                parent[node2] = (node, letter)
-                reach_order.append(node2)
-                work.append(node2)
-    for target in reach_order:
-        if not accepting(target):
-            continue
-        cycle = _cycle_word(graph, target)
-        if cycle is None:
-            continue
-        prefix: list = []
-        node = target
-        while parent[node] is not None:
-            node, letter = parent[node]
-            prefix.append(letter)
-        prefix.reverse()
-        return LassoTrace(tuple(prefix), tuple(cycle))
-    return None
-
-
-def _cycle_word(graph: dict, target) -> list | None:
-    """Shortest nonempty letter sequence from target back to target."""
-    parent: dict = {target: None}
-    queue = deque((target,))
-    while queue:
-        node = queue.popleft()
-        for letter, node2 in graph[node]:
-            if node2 == target:
-                word = [letter]
-                while parent[node] is not None:
-                    node, pl = parent[node]
-                    word.append(pl)
-                word.reverse()
-                return word
-            if node2 not in parent:
-                parent[node2] = (node, letter)
-                queue.append(node2)
-    return None
+    found = accepting_cycle(initial, successors, accepting)
+    if found is None:
+        return None
+    order, rows, target = found
+    loop_order, _, loop_rows = explore([target], rows.__getitem__)
+    last = next(i for i, row in enumerate(loop_rows) if 0 in row)
+    stem = [order[i] for i in tree_path(rows, target)]
+    loop = [order[loop_order[i]] for i in tree_path(loop_rows, last)] + [order[target]]
+    return LassoTrace(tuple(map(letter, stem, stem[1:])), tuple(map(letter, loop, loop[1:])))
 
 
 def nba_intersection(b1: NBA, b2: NBA) -> NBA:
@@ -731,22 +685,15 @@ def _quotient(rows: list, color, initial: int):
 
 
 def dpa_accepts_lasso(d: DPA, trace: LassoTrace) -> bool:
-    """Run the automaton on the lasso; decide by the cycle's top color."""
-    if not trace.propositions <= set(d.props):
-        msg = "trace uses propositions outside the automaton alphabet"
-        raise AlphabetMismatchError(msg)
-    word = [letter_of(d.props, trace.letter_at(i)) for i in range(trace.positions)]
-    seen: dict = {}
-    q = d.initial
-    cls = 0
-    history = []
-    while (q, cls) not in seen:
-        seen[(q, cls)] = len(history)
-        history.append((q, cls))
-        q = d.delta[q][word[cls]]
-        cls = trace.canonical_index(cls + 1)
-    start = seen[(q, cls)]
-    top = max(d.color[state] for state, _ in history[start:])
+    """Run the automaton on the lasso; decide by the cycle's top color.
+    ``explore`` numbers the run's (state, position) nodes as they are
+    met, so the last node's successor closes the cycle."""
+    word = lasso_word(d.props, trace)
+    order, _, rows = explore(
+        [(d.initial, 0)],
+        lambda node: [(d.delta[node[0]][word[node[1]]], trace.canonical_index(node[1] + 1))],
+    )
+    top = max(d.color[q] for q, _ in order[rows[-1][0]:])
     return top % 2 == 0
 
 

@@ -28,6 +28,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .formulas import (
+    PROP_NAME,
     Alt,
     And,
     Always,
@@ -62,7 +63,7 @@ class FormulaSyntaxError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)|(?P<op>->|[!&|(){}?+;*<>\[\]])|(?P<bad>\S)"
+    rf"(?P<ident>{PROP_NAME.pattern})|(?P<op>->|[!&|(){{}}?+;*<>\[\]])|(?P<bad>\S)"
 )
 
 _KEYWORDS = {"tt", "ff", "X", "F", "G", "Fp", "U", "R"}

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .formulas import PROP_NAME
+
 Letter = frozenset
 
 
@@ -112,11 +114,15 @@ def _parse_letters(text: str) -> tuple[frozenset[str], ...]:
             raise TraceFormatError(msg)
         body = rest[1:end].strip()
         if body:
-            props = frozenset(p.strip() for p in body.split(","))
-            if any(not p for p in props):
+            props = [p.strip() for p in body.split(",")]
+            if not all(props):
                 msg = f"empty proposition name in letter {rest[: end + 1]!r}"
                 raise TraceFormatError(msg)
-            letters.append(props)
+            for p in props:
+                if not PROP_NAME.fullmatch(p):
+                    msg = f"proposition name {p!r} is not an identifier"
+                    raise TraceFormatError(msg)
+            letters.append(frozenset(props))
         else:
             letters.append(frozenset())
         rest = rest[end + 1 :].strip()

@@ -79,18 +79,11 @@ def rprompt_to_prompt(phi: Formula, beta: TruthValue4) -> Formula:
 
 
 def embed_rltl_in_rldl(phi: Formula) -> Formula:
-    """Replace the temporal modalities with trivially guarded ones."""
+    """Replace the temporal modalities with trivially guarded ones: the
+    desugaring of ``ltl_surface_to_ldl``, whose other rules the robust
+    temporal logic has no operator for."""
     require_logic(phi, LogicId.RLTL)
-    step = Star(Prop(Tt()))
-
-    def rule(f: Formula) -> Formula:
-        if isinstance(f, Eventually):
-            return Diamond(step, f.arg)
-        if isinstance(f, Always):
-            return Box(step, f.arg)
-        return f
-
-    return rewrite(phi, rule)
+    return ltl_surface_to_ldl(phi)
 
 
 def embed_ldl_in_rldl(phi: Formula) -> Formula:

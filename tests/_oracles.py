@@ -47,6 +47,14 @@ directly on sets of its states: the epsilon closure, and one letter
 followed by the closure.  A word is matched when the set it ends in
 holds a final state.
 
+reference_lasso_search is the accepting-lasso search with its own
+breadth-first walk and parent table, given the (letter, node) pairs
+leaving each node, and a second walk per accepting node for its
+shortest cycle (reference_cycle_word).  reference_is_trace_of decides
+whether a lasso is a system trace by the largest set of (state,
+position) nodes in which every node has a successor, shrunk by passes
+over the sorted nodes until nothing changes.
+
 reference_from_rldl is the eager alternating-automaton compiler: every
 subformula and guard block gets states over every letter, a complement
 is a copied dual of everything its state reaches, and a final pass
@@ -59,6 +67,7 @@ int bitmasks, only at the end.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, replace
 
 from robusttl.apa import APA, AlphabetMismatchError
@@ -85,6 +94,7 @@ from robusttl.formulas import (
 )
 from robusttl.guards import all_letters, letter_of, prop_holds, simple_eps_closure, thompson
 from robusttl.omega import DPA, _minimize, _quotient
+from robusttl.traces import LassoTrace
 from robusttl.truth import ALL_VALUES, BOTTOM, TOP, TruthValue4
 
 
@@ -352,6 +362,85 @@ def full_alphabet_mc_witness(ts, phi, beta):
     props = sorted(propositions(phi) | ts.propositions)
     bad = apa_to_nba(apa_complement(from_rldl(phi, beta, props)))
     return nba_emptiness(nba_intersection(ts_to_nba(ts, props), bad))
+
+
+def reference_lasso_search(initial, successors, accepting) -> LassoTrace | None:
+    """A lasso through a reachable accepting node on a cycle, or None.
+
+    The graph is built breadth-first from ``initial`` only:
+    ``successors(node)`` gives the (letter, node) pairs leaving a node and
+    is called once per reached node.  The first reached accepting node
+    that lies on a cycle gives the lasso: its breadth-first path as the
+    prefix and its shortest cycle as the loop.
+    """
+    graph: dict = {}
+    parent: dict = {initial: None}
+    work = deque((initial,))
+    reach_order = [initial]
+    while work:
+        node = work.popleft()
+        graph[node] = succs = tuple(successors(node))
+        for letter, node2 in succs:
+            if node2 not in parent:
+                parent[node2] = (node, letter)
+                reach_order.append(node2)
+                work.append(node2)
+    for target in reach_order:
+        if not accepting(target):
+            continue
+        cycle = reference_cycle_word(graph, target)
+        if cycle is None:
+            continue
+        prefix: list = []
+        node = target
+        while parent[node] is not None:
+            node, letter = parent[node]
+            prefix.append(letter)
+        prefix.reverse()
+        return LassoTrace(tuple(prefix), tuple(cycle))
+    return None
+
+
+def reference_cycle_word(graph: dict, target) -> list | None:
+    """Shortest nonempty letter sequence from target back to target."""
+    parent: dict = {target: None}
+    queue = deque((target,))
+    while queue:
+        node = queue.popleft()
+        for letter, node2 in graph[node]:
+            if node2 == target:
+                word = [letter]
+                while parent[node] is not None:
+                    node, pl = parent[node]
+                    word.append(pl)
+                word.reverse()
+                return word
+            if node2 not in parent:
+                parent[node2] = (node, letter)
+                queue.append(node2)
+    return None
+
+
+def reference_is_trace_of(ts, trace: LassoTrace) -> bool:
+    """Whether some path of the system produces the lasso's word."""
+    n = len(trace.prefix) + len(trace.loop)
+    nodes = {
+        (s, c)
+        for s in ts.states
+        for c in range(n)
+        if ts.labels[s] == trace.letter_at(c)
+    }
+    # Largest subset where every node has a successor in the subset.
+    changed = True
+    while changed:
+        changed = False
+        for node in sorted(nodes):
+            s, c = node
+            c2 = trace.canonical_index(c + 1)
+            if not any((t, c2) in nodes for t in ts.edges[s]):
+                nodes.discard(node)
+                changed = True
+    return (ts.initial, 0) in nodes
 
 
 # -- positive Boolean formula trees of the reference compiler ----------------

@@ -8,7 +8,8 @@ import pytest
 
 from robusttl import cli
 from robusttl.cli import main
-from robusttl.gen import make_rng, random_labeled_game
+from robusttl.gen import make_rng, random_labeled_game, random_system
+from robusttl.modelcheck import format_transition_system
 from robusttl.omega import NotWeakError
 
 
@@ -71,6 +72,33 @@ def test_eval_input_errors_exit_two(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("trace", ["; {p q}", "; {p}}} {q}"])
+def test_eval_proposition_names_must_be_identifiers(trace, capsys):
+    code, out, err = run(
+        ["eval", "--logic", "rldl", "--formula", "[tt*] p", "--trace", trace], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("label", ["p q", "p}}"])
+def test_mc_and_synth_proposition_names_must_be_identifiers(label, tmp_path, capsys):
+    system = tmp_path / "sys.txt"
+    system.write_text(f"state a init {{ {label} }}\nedge a a\n", encoding="utf-8")
+    game = tmp_path / "game.txt"
+    game.write_text(f"v a 0 {{ {label} }}\ne a a\n", encoding="utf-8")
+    query = ["--logic", "rldl", "--formula", "[tt*] p", "--beta", "1111"]
+    for argv in (
+        ["mc", "--system", str(system), *query],
+        ["synth", "--game", str(game), *query, "--vertex", "a"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: proposition name {label!r} is not an identifier")
 
 
 def test_translate_derobustify(capsys):
@@ -441,6 +469,45 @@ def test_synth_output_independent_of_hash_seed(tmp_path):
                 env=env,
             )
             assert proc.stdout.startswith("winner: 0")
+            texts.append(proc.stdout)
+        outputs.append(texts)
+    assert outputs[0] == outputs[1]
+
+
+def test_mc_output_independent_of_hash_seed(tmp_path):
+    path = tmp_path / "sys.txt"
+    ts = random_system(make_rng(7), 8, ("p", "q", "s"))
+    path.write_text(format_transition_system(ts) + "\n", encoding="utf-8")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        texts = []
+        for logic, formula in (
+            ("rldl", "[tt*] (p -> <tt*> q)"),
+            ("rpromptltl", "G Fp s"),
+        ):
+            proc = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "robusttl.cli",
+                    "mc",
+                    "--system",
+                    str(path),
+                    "--logic",
+                    logic,
+                    "--formula",
+                    formula,
+                    "--beta",
+                    "0011" if logic == "rpromptltl" else "1111",
+                ],
+                capture_output=True,
+                text=True,
+                check=False,
+                env=env,
+            )
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stdout.startswith("violated\ncounterexample: ")
             texts.append(proc.stdout)
         outputs.append(texts)
     assert outputs[0] == outputs[1]

@@ -553,6 +553,8 @@ def test_parse_labeled_game_rejects_malformed(text):
         ("v a 0 { }\ne a b", "edge references unknown vertex: 'e a b'"),
         ("v a 0 { }\ne a a a", "malformed edge line: 'e a a a'"),
         ("v a 0 { }\nedge a a", "unrecognized line: 'edge a a'"),
+        ("v a 0 { p q }\ne a a", "proposition name 'p q' is not an identifier: 'v a 0 { p q }'"),
+        ("v a 0 { p}} }\ne a a", "proposition name 'p}}' is not an identifier: 'v a 0 { p}} }'"),
     ],
 )
 def test_parse_labeled_game_error_messages(text, message):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from robusttl.traces import LassoTrace, format_trace, parse_trace
+from robusttl.traces import LassoTrace, TraceFormatError, format_trace, parse_trace
 
 letters = st.frozensets(st.sampled_from(["p", "q", "r"]), max_size=3)
 lassos = st.builds(
@@ -51,6 +51,28 @@ def test_propositions():
 def test_parse_errors(text):
     with pytest.raises(ValueError):
         parse_trace(text)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("; {p q}", "proposition name 'p q' is not an identifier"),
+        ("; {p, q-r}", "proposition name 'q-r' is not an identifier"),
+        ("; {1p}", "proposition name '1p' is not an identifier"),
+        ("; {p}}} {q}", "expected a letter starting with '{' at '}} {q}'"),
+    ],
+)
+def test_proposition_names_must_be_identifiers(text, message):
+    with pytest.raises(TraceFormatError) as info:
+        parse_trace(text)
+    assert str(info.value) == message
+
+
+def test_proposition_names_read_as_the_formula_parser_reads_them():
+    # Primes and underscores are part of a name, and keywords are names.
+    w = parse_trace("{p', _x1} ; {tt, X}")
+    assert w.prefix == (frozenset({"p'", "_x1"}),)
+    assert w.loop == (frozenset({"tt", "X"}),)
 
 
 @given(lassos)

@@ -1,5 +1,5 @@
 import pytest
-from _oracles import full_alphabet_mc_witness
+from _oracles import full_alphabet_mc_witness, reference_is_trace_of, reference_lasso_search
 
 from robusttl.formulas import (
     Always,
@@ -102,6 +102,14 @@ def test_parse_errors(text):
         ("state a init { p }\nfoo a", "unrecognized line: 'foo a'"),
         ("state a init p }", "malformed state line: 'state a init p }'"),
         ("state a start { }", "malformed state line: 'state a start { }'"),
+        (
+            "state a init { p q }\nedge a a",
+            "proposition name 'p q' is not an identifier: 'state a init { p q }'",
+        ),
+        (
+            "state a init { p}} }\nedge a a",
+            "proposition name 'p}}' is not an identifier: 'state a init { p}} }'",
+        ),
     ],
 )
 def test_parse_error_messages(text, message):
@@ -481,6 +489,86 @@ def test_projected_mc_matches_full_alphabet_reference(seed):
             cex = result.counterexample
             assert eval_rldl(cex, phi) < beta
             assert is_trace_of(ts, cex)
+
+
+def _checked_lasso_search(monkeypatch) -> list:
+    """Route every ``omega.lasso_search`` call through a comparison with
+    the reference search, given the same edges as (letter, node) pairs;
+    returns the witnesses found."""
+    import robusttl.omega as omega
+
+    search = omega.lasso_search
+    found = []
+
+    def checked(initial, successors, accepting, letter):
+        got = search(initial, successors, accepting, letter)
+
+        def labeled(node):
+            return [(letter(node, succ), succ) for succ in successors(node)]
+
+        assert got == reference_lasso_search(initial, labeled, accepting)
+        found.append(got)
+        return got
+
+    monkeypatch.setattr(omega, "lasso_search", checked)
+    return found
+
+
+def test_mc_lasso_search_matches_reference(monkeypatch):
+    found = _checked_lasso_search(monkeypatch)
+    rng = make_rng(2401)
+    for _ in range(40):
+        ts = random_system(rng, rng.randint(1, 6), PQRS)
+        phi = random_formula(rng, LogicId.RLDL, rng.randint(1, 6), PQRS)
+        for beta in POSITIVE_VALUES:
+            mc_rldl(ts, phi, beta)
+    assert len(found) == 160
+    witnesses = [w for w in found if w is not None]
+    assert 30 < len(witnesses) < 130
+    assert any(w.prefix for w in witnesses) and max(len(w.loop) for w in witnesses) > 2
+
+
+def test_emptiness_matches_reference_search():
+    # The reference search is given each edge with its letter, letters
+    # in alphabet order; an edge named twice keeps its first letter.
+    from robusttl.guards import all_letters
+    from robusttl.omega import nba_emptiness, rldl_to_nba
+
+    rng = make_rng(2402)
+    found = 0
+    for _ in range(40):
+        phi = random_formula(rng, LogicId.RLDL, rng.randint(1, 6), ("p", "q"))
+        nba = rldl_to_nba(phi, rng.choice(POSITIVE_VALUES), ("p", "q"))
+        letters = all_letters(nba.props)
+
+        def labeled(q, nba=nba, letters=letters):
+            return [(x, q2) for a, x in enumerate(letters) for q2 in nba.transitions[(q, a)]]
+
+        want = reference_lasso_search(nba.initial, labeled, nba.accepting.__contains__)
+        assert nba_emptiness(nba) == want, format_formula(phi)
+        found += want is not None
+    assert 10 < found < 40
+
+
+def test_is_trace_of_matches_reference():
+    # Every other lasso is a sampled path of the system; the rest are
+    # random, or such a path with one proposition flipped at one place.
+    rng = make_rng(2403)
+    answers = []
+    for i in range(600):
+        ts = random_system(rng, rng.randint(1, 6), ("p", "q"))
+        w = _sample_traces(ts, rng, 1)[0]
+        if i % 4 == 1:
+            w = random_lasso(rng, ("p", "q"), 3, 4)
+        elif i % 4 == 3:
+            letters = [*w.prefix, *w.loop]
+            at = rng.randrange(len(letters))
+            letters[at] ^= {rng.choice(("p", "q"))}
+            w = LassoTrace(tuple(letters[: len(w.prefix)]), tuple(letters[len(w.prefix) :]))
+        answers.append(is_trace_of(ts, w))
+        assert answers[-1] == reference_is_trace_of(ts, w), (ts, w)
+    assert all(answers[::2])
+    assert 0 < answers[3::4].count(True) < 50
 
 
 def _recording_breakpoints(monkeypatch) -> list:

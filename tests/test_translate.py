@@ -67,6 +67,29 @@ def test_rltl_embedding_value_equality():
         assert eval_rldl(w, embedded) == eval_rltl(w, phi)
 
 
+def test_rltl_embedding_is_the_ltl_desugaring():
+    # The embedding's former rule of its own, eventually and always over
+    # tt*, gives the very node the desugaring of the temporal operators
+    # gives.
+    from robusttl.formulas import Always, Box, Diamond, Eventually, Prop, Star, rewrite
+
+    step = Star(Prop(Tt()))
+
+    def rule(f):
+        if isinstance(f, Eventually):
+            return Diamond(step, f.arg)
+        if isinstance(f, Always):
+            return Box(step, f.arg)
+        return f
+
+    rng = make_rng(7)
+    for _ in range(3000):
+        phi = random_formula(rng, LogicId.RLTL, rng.randint(1, 10), PQ)
+        desugared = ltl_surface_to_ldl(phi)
+        assert embed_rltl_in_rldl(phi) is desugared
+        assert rewrite(phi, rule) is desugared
+
+
 def test_ldl_embedding_bit1_equality():
     rng = make_rng(29)
     for _ in range(120):
