@@ -45,15 +45,23 @@ from .modelcheck import (
     parse_transition_system,
     prompt_mc,
 )
-from .omega import dpa_accepts_lasso, nba_accepts_lasso, rldl_to_dpa, rldl_to_nba
+from .omega import (
+    dpa_accepts_lasso,
+    ldl_to_dpa,
+    nba_accepts_lasso,
+    rldl_to_dpa,
+    rldl_to_nba,
+)
 from .parser import FormulaSyntaxError, parse, parse_guard
 from .semantics import MissingBoundError, eval_rldl, evaluate
 from .translate import (
     NotLimitMatchingError,
     NotTestFreeError,
+    derobustify,
     embed_ldl_in_rldl,
     embed_rltl_in_rldl,
     fragment_translate,
+    is_test_free,
     ltl_surface_to_ldl,
     rprompt_to_prompt,
 )
@@ -261,15 +269,20 @@ def _cmd_fuzz(args) -> int:
         beta = POSITIVE_VALUES[rng.randrange(len(POSITIVE_VALUES))]
         trace = random_lasso(rng, props)
         want = oracle(trace, phi) >= beta
-        dpa = rldl_to_dpa(phi, beta, props)
-        got = dpa_accepts_lasso(dpa, trace)
-        if got != want:
-            print(f"divergence at trial {trial} (seed {args.seed})")
-            print(f"formula: {format_formula(phi)}")
-            print(f"beta: {beta}")
-            print(f"trace: {format_trace(trace)}")
-            print(f"oracle: {want}, automaton: {got}")
-            return 1
+        routes = [("rldl_to_dpa", rldl_to_dpa(phi, beta, props))]
+        if is_test_free(phi):
+            plain = ldl_to_dpa(derobustify(phi, beta), props)
+            routes.append(("ldl_to_dpa of derobustify", plain))
+        for route, dpa in routes:
+            got = dpa_accepts_lasso(dpa, trace)
+            if got != want:
+                print(f"divergence at trial {trial} (seed {args.seed})")
+                print(f"formula: {format_formula(phi)}")
+                print(f"beta: {beta}")
+                print(f"trace: {format_trace(trace)}")
+                print(f"route: {route}")
+                print(f"oracle: {want}, automaton: {got}")
+                return 1
     print("ok")
     return 0
 

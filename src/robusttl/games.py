@@ -321,13 +321,21 @@ def solve_rldl_game(
     """Decide whether player 0 enforces value at least beta from vertex.
 
     The automaton is built over the formula's own propositions; arena
-    labels are projected onto them.
+    labels are projected onto them.  An objective whose guards are
+    test-free is derobustified at beta and compiled as plain LDL, so the
+    strategy's memory is the states of that automaton; one with tests
+    is compiled robustly.
     """
-    from .omega import rldl_to_dpa
+    from .omega import ldl_to_dpa, rldl_to_dpa
+    from .translate import derobustify, is_test_free
 
     require_logic(phi, LogicId.RLDL)
     start = _start(graph, vertex)
-    dpa = rldl_to_dpa(phi, beta, sorted(propositions(phi)))
+    props = sorted(propositions(phi))
+    if is_test_free(phi):
+        dpa = ldl_to_dpa(derobustify(phi, beta), props)
+    else:
+        dpa = rldl_to_dpa(phi, beta, props)
     game, back = reduce_game(graph, dpa, start)
     win0, _win1, strat0, _strat1 = solve_parity(game)
     if 0 in win0:

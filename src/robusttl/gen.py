@@ -110,9 +110,10 @@ def random_guard(
 
 
 def random_formula(
-    rng: random.Random, logic: LogicId, budget: int, props
+    rng: random.Random, logic: LogicId, budget: int, props, allow_tests: bool = True
 ) -> Formula:
-    """A random formula admissible in the given logic, of bounded size."""
+    """A random formula admissible in the given logic, of bounded size;
+    its guards are test-free unless allow_tests."""
     surface = _SURFACE[logic]
     if budget <= 1:
         return _random_prop_formula(rng, props, 0)
@@ -125,16 +126,18 @@ def random_formula(
     choices.extend(("g", c) for c in guarded for _ in range(2))
     kind, ctor = rng.choice(choices)
     if kind == "u":
-        return ctor(random_formula(rng, logic, budget - 1, props))
+        return ctor(random_formula(rng, logic, budget - 1, props, allow_tests))
     if kind == "b":
         split = rng.randint(1, budget - 1)
         return ctor(
-            random_formula(rng, logic, split, props),
-            random_formula(rng, logic, budget - split, props),
+            random_formula(rng, logic, split, props, allow_tests),
+            random_formula(rng, logic, budget - split, props, allow_tests),
         )
     g_budget = max(1, (budget - 1) // 2)
-    guard = random_guard(rng, props, g_budget, logic)
-    return ctor(guard, random_formula(rng, logic, budget - 1 - g_budget, props))
+    guard = random_guard(rng, props, g_budget, logic, allow_tests)
+    return ctor(
+        guard, random_formula(rng, logic, budget - 1 - g_budget, props, allow_tests)
+    )
 
 
 def random_parity_game(

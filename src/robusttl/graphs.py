@@ -197,43 +197,51 @@ def read_graph_text(text: str, node_word: str, edge_word: str, noun: str,
     the node names in order, their labels, and each name's successors in
     the order of the edge lines.  A bad line raises error with a message
     that quotes it.
+
+    Edge lines, most of the text, are split once and checked by two
+    lookups; a label text seen before is not read again.
     """
     names: list = []
     labels: dict = {}
     succs: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    label_of: dict = {}  # label text -> its checked set
+    raws = text.splitlines()
+    lines = [raw.split("#", 1)[0] for raw in raws] if "#" in text else raws
+    for raw, line, parts in zip(raws, lines, map(str.split, lines)):
+        if len(parts) == 3 and parts[0] == edge_word:
+            _, src, dst = parts
+            out = succs.get(src)
+            if out is None or dst not in succs:
+                msg = f"edge references unknown {noun}: {raw.strip()!r}"
+                raise error(msg)
+            out.append(dst)
+        elif not parts:
             continue
-        parts = line.split()
-        if parts[0] == node_word:
-            head, _, brace = line[len(node_word):].partition("{")
+        elif parts[0] == node_word:
+            head, _, brace = line.strip()[len(node_word):].partition("{")
             tokens = head.split()
             brace = brace.rstrip()
             if not tokens or not brace.endswith("}") or not node_fields(tokens[0], tokens[1:]):
                 msg = f"malformed {noun} line: {raw.strip()!r}"
                 raise error(msg)
             name = tokens[0]
-            if name in labels:
+            if name in succs:
                 msg = f"duplicate {noun} {name!r}"
                 raise error(msg)
-            label = [p.strip() for p in brace[:-1].split(",") if p.strip()]
-            for p in label:
-                if not PROP_NAME.fullmatch(p):
-                    msg = f"proposition name {p!r} is not an identifier: {raw.strip()!r}"
-                    raise error(msg)
+            label = label_of.get(brace)
+            if label is None:
+                label = [p.strip() for p in brace[:-1].split(",") if p.strip()]
+                for p in label:
+                    if not PROP_NAME.fullmatch(p):
+                        msg = f"proposition name {p!r} is not an identifier: {raw.strip()!r}"
+                        raise error(msg)
+                label = label_of[brace] = frozenset(label)
             names.append(name)
-            labels[name] = frozenset(label)
+            labels[name] = label
             succs[name] = []
         elif parts[0] == edge_word:
-            if len(parts) != 3:
-                msg = f"malformed edge line: {raw.strip()!r}"
-                raise error(msg)
-            src, dst = parts[1], parts[2]
-            if src not in labels or dst not in labels:
-                msg = f"edge references unknown {noun}: {raw.strip()!r}"
-                raise error(msg)
-            succs[src].append(dst)
+            msg = f"malformed edge line: {raw.strip()!r}"
+            raise error(msg)
         else:
             msg = f"unrecognized line: {raw.strip()!r}"
             raise error(msg)

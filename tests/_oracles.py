@@ -55,6 +55,12 @@ whether a lasso is a system trace by the largest set of (state,
 position) nodes in which every node has a successor, shrunk by passes
 over the sorted nodes until nothing changes.
 
+reference_fragment_translate is the fragment translation as a rewrite
+with a rule per box: at 1111 the formula as it is, at 0001 each box a
+diamond, and at 0111 and 0011 each box the disjunction, resp.
+conjunction, over the guard's split of a prefix diamond before a
+completion box, resp. a prefix box before a completion diamond.
+
 reference_from_rldl is the eager alternating-automaton compiler: every
 subformula and guard block gets states over every letter, a complement
 is a copied dual of everything its state reaches, and a final pass
@@ -69,6 +75,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cache, reduce
 
 from robusttl.apa import APA, AlphabetMismatchError
 from robusttl.formulas import (
@@ -91,11 +98,13 @@ from robusttl.formulas import (
     format_formula,
     propositions,
     require_logic,
+    rewrite,
 )
 from robusttl.guards import all_letters, letter_of, prop_holds, simple_eps_closure, thompson
 from robusttl.omega import DPA, _minimize, _quotient
 from robusttl.traces import LassoTrace
-from robusttl.truth import ALL_VALUES, BOTTOM, TOP, TruthValue4
+from robusttl.translate import _split_guard, check_fragment
+from robusttl.truth import ALL_VALUES, BOTTOM, TOP, TruthValue4, V0011, V0111
 
 
 def thompson_close(nfa, states) -> frozenset:
@@ -1104,3 +1113,23 @@ def dpa_minimize(d):
 def dpa_complement(d):
     """Every color shifted by one: same structure, complementary language."""
     return replace(d, color=tuple(c + 1 for c in d.color))
+
+
+def reference_fragment_translate(phi: Formula, beta: TruthValue4) -> Formula:
+    """The fragment translation by one rule per box (module docstring)."""
+    check_fragment(phi)
+    if beta == BOTTOM:
+        return Tt()
+    split_guard = cache(_split_guard)
+
+    def rule(f: Formula) -> Formula:
+        if not isinstance(f, Box) or beta == TOP:
+            return f
+        if beta not in (V0111, V0011):
+            return Diamond(f.guard, f.arg)
+        parts = split_guard(f.guard)
+        if beta == V0111:
+            return reduce(Or, [Diamond(pre, Box(post, f.arg)) for pre, post in parts])
+        return reduce(And, [Box(pre, Diamond(post, f.arg)) for pre, post in parts])
+
+    return rewrite(phi, rule)

@@ -572,6 +572,19 @@ def test_fuzz_reports_ok_and_is_deterministic(capsys):
     assert second == first
 
 
+def test_fuzz_checks_the_derobustified_route_and_names_it(capsys, monkeypatch):
+    # A derobustification that is always false diverges on the first
+    # test-free trial the oracle accepts, and the report names that route.
+    from robusttl.formulas import Ff
+
+    monkeypatch.setattr(cli, "derobustify", lambda phi, beta: Ff())
+    code, out, _ = run(["fuzz", "--trials", "200", "--seed", "7", "--size", "5"], capsys)
+    assert code == 1
+    assert out.startswith("divergence at trial ")
+    assert "route: ldl_to_dpa of derobustify\n" in out
+    assert out.endswith("oracle: True, automaton: False\n")
+
+
 @pytest.mark.parametrize(
     ("flag", "value", "message"),
     [

@@ -53,7 +53,12 @@ from robusttl.modelcheck import relax_prompt
 from robusttl.omega import dpa_accepts_lasso, dpa_with_changes, ldl_to_dpa, rldl_to_dpa
 from robusttl.parser import parse
 from robusttl.semantics import eval_prompt_ltl, eval_rldl
-from robusttl.translate import fragment_translate, ltl_surface_to_ldl, rprompt_to_prompt
+from robusttl.translate import (
+    derobustify,
+    fragment_translate,
+    ltl_surface_to_ldl,
+    rprompt_to_prompt,
+)
 from robusttl.truth import POSITIVE_VALUES
 from robusttl.truth import from_string as B
 
@@ -415,6 +420,34 @@ def test_rldl_strategies_enforce_threshold_against_sampled_adversaries(seed):
         for adversary in adversaries(graph, rng, 8):
             trace = play_lasso(graph, result.strategy, graph.vertices[0], adversary)
             assert eval_rldl(trace, phi) >= beta
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_test_free_objectives_are_solved_on_the_derobustified_automaton(seed):
+    # The winner is the robust automaton's, the strategy's memory is the
+    # states of the plain automaton of the derobustified objective, and
+    # every play the strategy allows has value at least beta.
+    rng = make_rng(seed + 4400)
+    graph = random_labeled_game(rng, rng.randint(2, 5), PQ)
+    vertex = graph.vertices[0]
+    won = 0
+    for _ in range(4):
+        phi = random_formula(rng, LogicId.RLDL, rng.randint(2, 7), PQ, allow_tests=False)
+        props = sorted(propositions(phi))
+        for beta in POSITIVE_VALUES:
+            result = solve_rldl_game(graph, phi, beta, vertex)
+            robust, _ = reduce_game(graph, rldl_to_dpa(phi, beta, props), 0)
+            assert (result.winner == 0) == (0 in solve_parity(robust)[0])
+            if result.winner != 0:
+                continue
+            won += 1
+            plain = ldl_to_dpa(derobustify(phi, beta), props)
+            memory = {m for m, _ in result.strategy.update}
+            assert memory | set(result.strategy.update.values()) <= set(plain.states())
+            for adversary in adversaries(graph, rng, 6):
+                trace = play_lasso(graph, result.strategy, vertex, adversary)
+                assert eval_rldl(trace, phi) >= beta, (phi, beta, trace)
+    assert won
 
 
 def test_prompt_game_bounded_reach():

@@ -1,4 +1,5 @@
 import pytest
+from _oracles import reference_fragment_translate
 
 from robusttl.formulas import LogicId, Tt, format_formula, size
 from robusttl.gen import make_rng, random_formula, random_lasso
@@ -15,6 +16,7 @@ from robusttl.translate import (
     NotLimitMatchingError,
     NotTestFreeError,
     check_fragment,
+    derobustify,
     embed_ldl_in_rldl,
     embed_rltl_in_rldl,
     fragment_translate,
@@ -196,6 +198,154 @@ def eval_prompt_ldl_value(w, k, phi):
 def test_fragment_translate_bottom_is_trivial():
     phi = parse("[tt*] <p tt*> s", LogicId.RPROMPT_LDL)
     assert fragment_translate(phi, BOTTOM) == Tt()
+
+
+_LIMIT_MATCHING = (
+    "tt*", "(tt ; tt)*", "tt ; (tt ; tt)*", "(p ; tt + !p)*",
+    "(tt ; tt)* ; p*", "(q ; tt + !q ; tt ; tt)*",
+)
+
+
+def _fragment_formulas(seed: int, count: int):
+    """Seeded prompt formulas of the test-free limit-matching fragment:
+    random ones with every guard replaced by one of _LIMIT_MATCHING."""
+    from robusttl.formulas import Box, Diamond, PromptDiamond, rewrite
+
+    rng = make_rng(seed)
+    guards = [parse_guard(text) for text in _LIMIT_MATCHING]
+
+    def rule(f):
+        if isinstance(f, (Diamond, Box, PromptDiamond)):
+            return type(f)(rng.choice(guards), f.arg)
+        return f
+
+    for _ in range(count):
+        phi = random_formula(
+            rng, LogicId.RPROMPT_LDL, rng.randint(2, 9), PQ, allow_tests=False
+        )
+        yield rewrite(phi, rule)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fragment_translate_is_the_rule_per_box(seed):
+    # Derobustifying the fragment gives the very node the rewrite with one
+    # rule per box gave, so its model checks and printed translations stay.
+    formulas = [*_fragment_formulas(seed + 4100, 40), parse(_FRAGMENT)]
+    boxes = 0
+    for phi in formulas:
+        boxes += "[" in format_formula(phi)
+        for beta in ALL_VALUES:
+            assert fragment_translate(phi, beta) is reference_fragment_translate(phi, beta)
+    assert boxes >= 10
+
+
+def _test_free_rldl(rng):
+    return random_formula(rng, LogicId.RLDL, rng.randint(1, 9), PQ, allow_tests=False)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_derobustify_agrees_with_oracle(seed):
+    # 100 formulas and 5 lassos each per seed: 3000 pairs over the six
+    # seeds, each at all five thresholds.
+    from robusttl.formulas import Box, Implies, Not, walk
+    from robusttl.guards import is_limit_matching
+
+    rng = make_rng(seed + 4200)
+    seen = {"not": 0, "implies": 0, "box not limit-matching": 0}
+    for _ in range(100):
+        phi = _test_free_rldl(rng)
+        nodes = list(walk(phi))
+        seen["not"] += any(type(f) is Not for f in nodes)
+        seen["implies"] += any(type(f) is Implies for f in nodes)
+        seen["box not limit-matching"] += any(
+            type(f) is Box and not is_limit_matching(f.guard) for f in nodes
+        )
+        plain = [derobustify(phi, beta) for beta in ALL_VALUES]
+        for _ in range(5):
+            w = random_lasso(rng, PQ)
+            value = eval_rldl(w, phi)
+            for beta, psi in zip(ALL_VALUES, plain):
+                assert (value >= beta) == (eval_ldl(w, psi) == 1), (phi, beta, w)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_derobustify_output_is_plain_ldl_without_implications():
+    from robusttl.formulas import Implies, require_logic, walk
+
+    rng = make_rng(4300)
+    for _ in range(60):
+        phi = _test_free_rldl(rng)
+        for beta in POSITIVE_VALUES:
+            psi = derobustify(phi, beta)
+            require_logic(psi, LogicId.LDL)
+            assert not any(type(f) is Implies for f in walk(psi))
+
+
+def test_derobustify_pinned_shapes():
+    phi = parse("[tt*] (p -> <tt*> q)")
+    assert format_formula(derobustify(phi, from_string("1111"))) == "[tt*] (!p | <tt*> q)"
+    assert format_formula(derobustify(phi, from_string("0001"))) == "<tt*> (!p | <tt*> q)"
+    # A guard that is not limit-matching: some match satisfies, or none.
+    phi = parse("[p*] q")
+    assert format_formula(derobustify(phi, from_string("0001"))) == "<p*> q | [p*] ff"
+    # Negation reads bit 1 at every threshold.
+    phi = parse("!(p -> [tt*] q)")
+    for beta in POSITIVE_VALUES:
+        assert format_formula(derobustify(phi, beta)) == "!(!p | [tt*] q)"
+    assert derobustify(phi, BOTTOM) == Tt()
+
+
+@pytest.mark.parametrize("kind", ["and", "not", "box"])
+def test_derobustify_handles_deep_nesting(kind):
+    from robusttl.formulas import And, Atom, Box, Not, Prop, Star, closure
+
+    depth = 3000
+    step = Star(Prop(Tt()))
+    build = {
+        "and": lambda f: And(f, Atom("q")),
+        "not": Not,
+        "box": lambda f: Box(step, f),
+    }[kind]
+    phi = Atom("p")
+    for _ in range(depth):
+        phi = build(phi)
+    for beta in POSITIVE_VALUES:
+        assert len(closure(derobustify(phi, beta))) > depth
+
+
+def test_derobustify_shares_the_bits_of_implications():
+    # Each -> asks all four bits of both sides; a tree of them would grow
+    # as 4^depth, the shared nodes grow by a constant per level.
+    from robusttl.formulas import Atom, Box, Diamond, Implies, Or, Prop, Star, closure
+
+    step = Star(Prop(Tt()))
+
+    def chain(depth):
+        phi = Atom("p")
+        for _ in range(depth):
+            phi = Implies(Box(step, phi), Diamond(step, Or(phi, Atom("q"))))
+        return phi
+
+    for beta in POSITIVE_VALUES:
+        counts = [len(closure(derobustify(chain(d), beta))) for d in (10, 20, 40)]
+        assert counts[2] - counts[1] == 2 * (counts[1] - counts[0]), counts
+        assert counts[2] <= 10 * 40, counts
+
+
+def test_derobustify_rejects_tests():
+    phi = parse("[{q}? ; q] s & <tt*> [tt*] p")
+    for beta in ALL_VALUES:
+        with pytest.raises(NotTestFreeError) as err:
+            derobustify(phi, beta)
+        assert str(err.value) == "guards contain tests: {q}? ; q"
+
+
+def test_derobustify_rejects_other_logics():
+    from robusttl.formulas import LogicViolationError
+
+    with pytest.raises(LogicViolationError) as err:
+        derobustify(parse("X p", LogicId.LTL), from_string("1111"))
+    assert err.value.logic is LogicId.RLDL
 
 
 # Printed output of every formula translation on hand-picked inputs: a
